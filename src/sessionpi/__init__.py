@@ -23,6 +23,7 @@ from .contexts import (
     Void,
     closure,
     context_equal,
+    context_file_text,
     decl_to_context,
     entry_of_type,
     is_safe_context,
@@ -31,6 +32,7 @@ from .contexts import (
     is_un_context,
     is_un_entry,
     nabla,
+    pretty,
     to_decl_context,
     type_of_entry,
     update_context,
@@ -46,7 +48,6 @@ from .semantics import (
     reduce_step,
     reduce_trace,
 )
-from .contexts import context_file_text
 from .syntax import (
     ChanType,
     End,
@@ -69,17 +70,6 @@ from .syntax import (
     free_vars,
     substitute,
 )
-
-
-def pretty(value) -> str:
-    """Concrete syntax for a process, type, entry or context.
-
-    Parsing the result with the matching parser gives the value back;
-    contexts print in context-file form (one binding per line).
-    """
-    if isinstance(value, Context):
-        return context_file_text(value)
-    return str(value)
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,6 +7,12 @@ process; on a safe context at most one pattern applies, so there is no
 backtracking.  Consumed linear slots are marked ``◦`` so later threads
 cannot reuse them.
 
+Dispatch takes the first rule whose guard holds and stops evaluating
+guards there.  With auditing on it evaluates every guard instead and
+records how many rules matched at each call, which on a safe context is
+at most one.  Location and trace strings are built only when an audit
+record, a trace step or an error keeps them.
+
 Rule names carried in traces:
 
 * variables: A-V-L, A-V-U, A-V-LL-l/r, A-V-L-l/r, A-V-UU-l/r, A-V-U-l/r,
@@ -24,12 +30,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .contexts import (
     VOID,
     Context,
     ContextAlgebraError,
+    Entry,
     Item,
     Pair,
     Single,
@@ -45,10 +52,9 @@ from .contexts import (
     update_entry,
     used_map,
 )
-from .equality import is_un_end, type_equal, unfold
+from .equality import io_head, is_un_end, type_equal, unfold
 from .syntax import (
     ChanType,
-    Endpoint,
     Input,
     New,
     Output,
@@ -62,7 +68,6 @@ from .syntax import (
     Type,
     Zero,
     barendregt_rename,
-    is_endpoint,
 )
 
 
@@ -123,18 +128,20 @@ def _loc(p: Process) -> str:
     return text
 
 
-def _head(item: Item) -> Optional[Qualified]:
-    return None if isinstance(item, Void) else unfold(item)
+def _slots(entry: Entry) -> tuple[tuple[str, Item], ...]:
+    """The slots of an entry, each with the suffix its rule names carry."""
+    if isinstance(entry, Single):
+        return (("", entry.item),)
+    return (("-l", entry.left), ("-r", entry.right))
 
 
-def _is_recursive_io(item: Item, ctor) -> Optional[tuple[Type, Endpoint]]:
-    """Match an unrestricted ``ctor`` pre-type whose continuation is the whole type."""
-    h = _head(item)
-    if h is None or h.qual is not Qual.UN or not isinstance(h.pre, ctor):
-        return None
-    if not type_equal(h.pre.cont, item):
-        return None
-    return h.pre.payload, h.pre.cont
+def _consumed(entry: Entry, suffix: str) -> Entry:
+    """``entry`` with the slot named by ``suffix`` voided."""
+    if suffix == "-l":
+        return Pair(VOID, entry.right)
+    if suffix == "-r":
+        return Pair(entry.left, VOID)
+    return Single(VOID)
 
 
 class _Checker:
@@ -143,180 +150,122 @@ class _Checker:
         self.audits: Optional[list[AuditRecord]] = [] if audit else None
         self.runtime_audits = runtime_audits
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _record(self, rule: str, g: Context, subject: str) -> Optional[TraceStep]:
-        if self.trace is None:
-            return None
-        step = TraceStep(rule, g, subject)
-        self.trace.append(step)
-        return step
-
-    def _audit(self, site: str, count: int):
-        if self.audits is not None:
-            self.audits.append(AuditRecord(site, count))
+    def _first(self, matches: Iterator, site: Callable[[], str]) -> Optional[tuple]:
+        """The first match, or ``None``; when auditing, every guard is
+        evaluated and the number of matches is recorded at ``site()``."""
+        if self.audits is None:
+            return next(matches, None)
+        found = list(matches)
+        self.audits.append(AuditRecord(site(), len(found)))
+        return found[0] if found else None
 
     # -- variables -----------------------------------------------------------
 
-    def _var_matches(
-        self, g: Context, x: str, t: Type
-    ) -> list[tuple[str, Callable[[], Context]]]:
+    def _var_matches(self, g: Context, x: str, t: Type) -> Iterator[tuple[str, Context]]:
+        """(rule, residual context) for each variable rule whose guard holds."""
         entry = g.get(x)
         if entry is None:
-            return []
-        matches: list[tuple[str, Callable[[], Context]]] = []
-
-        if isinstance(entry, Single) and is_endpoint(t):
-            h = _head(entry.item)
-            th = unfold(t)
-            if h is not None and h.qual is th.qual and type_equal(entry.item, t):
-                if h.qual is Qual.LIN:
-                    matches.append(("A-V-L", lambda: g.set(x, Single(VOID))))
-                else:
-                    matches.append(("A-V-U", lambda: g))
-
-        if isinstance(entry, Pair):
+            return
+        if isinstance(t, ChanType):
+            if not isinstance(entry, Pair):
+                return
             left, right = entry.left, entry.right
-            hl, hr = _head(left), _head(right)
-            if isinstance(t, ChanType) and hl is not None and hr is not None:
-                if hl.qual is Qual.LIN and hr.qual is Qual.LIN:
-                    if type_equal(left, t.left) and type_equal(right, t.right):
-                        matches.append(("A-V-LL-l", lambda: g.set(x, Pair(VOID, VOID))))
-                    elif type_equal(left, t.right) and type_equal(right, t.left):
-                        matches.append(("A-V-LL-r", lambda: g.set(x, Pair(VOID, VOID))))
-                if hl.qual is Qual.UN and hr.qual is Qual.UN:
-                    if type_equal(left, t.left) and type_equal(right, t.right):
-                        matches.append(("A-V-UU-l", lambda: g))
-                    elif type_equal(left, t.right) and type_equal(right, t.left):
-                        matches.append(("A-V-UU-r", lambda: g))
-            if is_endpoint(t):
-                th = unfold(t)
-                if hl is not None and hl.qual is Qual.LIN and th.qual is Qual.LIN and type_equal(left, t):
-                    matches.append(("A-V-L-l", lambda: g.set(x, Pair(VOID, right))))
-                if hr is not None and hr.qual is Qual.LIN and th.qual is Qual.LIN and type_equal(right, t):
-                    matches.append(("A-V-L-r", lambda: g.set(x, Pair(left, VOID))))
-                if (
-                    hl is not None
-                    and hl.qual is Qual.UN
-                    and th.qual is Qual.UN
-                    and type_equal(left, t)
-                    and not (not isinstance(right, Void) and type_equal(left, right))
-                ):
-                    matches.append(("A-V-U-l", lambda: g))
-                if (
-                    hr is not None
-                    and hr.qual is Qual.UN
-                    and th.qual is Qual.UN
-                    and type_equal(right, t)
-                    and not (not isinstance(left, Void) and type_equal(right, left))
-                ):
-                    matches.append(("A-V-U-r", lambda: g))
-                if (
-                    not isinstance(left, Void)
-                    and not isinstance(right, Void)
-                    and is_un_end(left)
-                    and is_un_end(right)
-                    and is_un_end(t)
-                ):
-                    matches.append(("A-V-EE", lambda: g))
-        return matches
+            if isinstance(left, Void) or isinstance(right, Void):
+                return
+            qual = unfold(left).qual
+            if unfold(right).qual is not qual:
+                return
+            if type_equal(left, t.left) and type_equal(right, t.right):
+                suffix = "-l"
+            elif type_equal(left, t.right) and type_equal(right, t.left):
+                suffix = "-r"
+            else:
+                return
+            if qual is Qual.LIN:
+                yield "A-V-LL" + suffix, g.set(x, Pair(VOID, VOID))
+            else:
+                yield "A-V-UU" + suffix, g
+            return
+        qual = unfold(t).qual
+        hits = [
+            suffix
+            for suffix, item in _slots(entry)
+            if not isinstance(item, Void) and unfold(item).qual is qual and type_equal(item, t)
+        ]
+        if qual is Qual.LIN:
+            for suffix in hits:
+                yield "A-V-L" + suffix, g.set(x, _consumed(entry, suffix))
+        elif len(hits) == 1:
+            # An unrestricted side is read alone only when the other side
+            # differs from it, that is, when exactly one slot matches ``t``.
+            yield "A-V-U" + hits[0], g
+        if (
+            isinstance(entry, Pair)
+            and not isinstance(entry.left, Void)
+            and not isinstance(entry.right, Void)
+            and is_un_end(entry.left)
+            and is_un_end(entry.right)
+            and is_un_end(t)
+        ):
+            yield "A-V-EE", g
 
     def check_var(self, g: Context, x: str, t: Type) -> Context:
-        site = f"{x} : {t}"
-        matches = self._var_matches(g, x, t)
-        self._audit(site, len(matches))
-        if not matches:
+        found = self._first(self._var_matches(g, x, t), lambda: f"{x} : {t}")
+        if found is None:
             entry = g.get(x)
             detail = (
                 f"{x} is not in the context"
                 if entry is None
                 else f"cannot use {x} (entry {entry}) at type {t}"
             )
-            raise CheckError(ErrorKind.NO_PATTERN, site, detail)
-        rule, apply = matches[0]
-        step = self._record(rule, g, site)
-        out = apply()
-        if step is not None:
-            step.output_ctx = out
+            raise CheckError(ErrorKind.NO_PATTERN, f"{x} : {t}", detail)
+        rule, out = found
+        if self.trace is not None:
+            self.trace.append(TraceStep(rule, g, f"{x} : {t}", out))
         return out
 
     # -- processes -----------------------------------------------------------
 
-    def _process_matches(
-        self, g: Context, p: Process
-    ) -> list[tuple[str, Callable[[], Context]]]:
-        matches: list[tuple[str, Callable[[], Context]]] = []
+    def _process_matches(self, g: Context, p: Process) -> Iterator[tuple]:
+        """(rule, body, extra arguments) for each process rule whose guard
+        holds: linear rules before unrestricted ones, left before right."""
         match p:
             case Zero():
-                matches.append(("A-Inact", lambda: g))
+                yield "A-Inact", self._rule_inact, ()
             case Repl(_):
-                matches.append(("A-Repl", lambda: self._rule_repl(g, p)))
+                yield "A-Repl", self._rule_repl, ()
             case Par(_, _):
-                matches.append(("A-Par", lambda: self._rule_par(g, p)))
+                yield "A-Par", self._rule_par, ()
             case New(_, _, _):
-                matches.append(("A-Res", lambda: self._rule_res(g, p)))
-            case Output(chan, _, _):
+                yield "A-Res", self._rule_res, ()
+            case Output(chan, _, _) | Input(chan, _, _):
                 entry = g.get(chan)
-                if isinstance(entry, Single):
-                    h = _head(entry.item)
-                    if h is not None and h.qual is Qual.LIN and isinstance(h.pre, Send):
-                        matches.append(("A-Out-L", lambda: self._rule_out_lin(g, p)))
-                    if _is_recursive_io(entry.item, Send):
-                        matches.append(
-                            ("A-Out-Un", lambda: self._rule_out_un(g, p, entry.item))
-                        )
-                elif isinstance(entry, Pair):
-                    hl, hr = _head(entry.left), _head(entry.right)
-                    if hl is not None and hl.qual is Qual.LIN and isinstance(hl.pre, Send):
-                        matches.append(
-                            ("A-Out-L-l", lambda: self._rule_pair_side(g, p, "left", "lin-out"))
-                        )
-                    if hr is not None and hr.qual is Qual.LIN and isinstance(hr.pre, Send):
-                        matches.append(
-                            ("A-Out-L-r", lambda: self._rule_pair_side(g, p, "right", "lin-out"))
-                        )
-                    if _is_recursive_io(entry.left, Send):
-                        matches.append(
-                            ("A-Out-Un-l", lambda: self._rule_out_un(g, p, entry.left))
-                        )
-                    if _is_recursive_io(entry.right, Send):
-                        matches.append(
-                            ("A-Out-Un-r", lambda: self._rule_out_un(g, p, entry.right))
-                        )
-            case Input(chan, _, _):
-                entry = g.get(chan)
-                if isinstance(entry, Single):
-                    h = _head(entry.item)
-                    if h is not None and h.qual is Qual.LIN and isinstance(h.pre, Recv):
-                        matches.append(("A-In-L", lambda: self._rule_in_lin(g, p)))
-                    if _is_recursive_io(entry.item, Recv):
-                        matches.append(
-                            ("A-In-Un", lambda: self._rule_in_un(g, p, entry.item))
-                        )
-                elif isinstance(entry, Pair):
-                    hl, hr = _head(entry.left), _head(entry.right)
-                    if hl is not None and hl.qual is Qual.LIN and isinstance(hl.pre, Recv):
-                        matches.append(
-                            ("A-In-L-l", lambda: self._rule_pair_side(g, p, "left", "lin-in"))
-                        )
-                    if hr is not None and hr.qual is Qual.LIN and isinstance(hr.pre, Recv):
-                        matches.append(
-                            ("A-In-L-r", lambda: self._rule_pair_side(g, p, "right", "lin-in"))
-                        )
-                    if _is_recursive_io(entry.left, Recv):
-                        matches.append(
-                            ("A-In-Un-l", lambda: self._rule_in_un(g, p, entry.left))
-                        )
-                    if _is_recursive_io(entry.right, Recv):
-                        matches.append(
-                            ("A-In-Un-r", lambda: self._rule_in_un(g, p, entry.right))
-                        )
-        return matches
+                if entry is None:
+                    return
+                if isinstance(p, Output):
+                    rule, ctor = "A-Out", Send
+                    lin_body, un_body = self._rule_out_lin, self._rule_out_un
+                else:
+                    rule, ctor = "A-In", Recv
+                    lin_body, un_body = self._rule_in_lin, self._rule_in_un
+                heads = [
+                    (suffix, io_head(item, ctor))
+                    for suffix, item in _slots(entry)
+                    if not isinstance(item, Void)
+                ]
+                for suffix, h in heads:
+                    if h is not None and h.qual is Qual.LIN:
+                        if suffix:
+                            yield f"{rule}-L{suffix}", self._rule_pair_side, (suffix,)
+                        else:
+                            yield f"{rule}-L", lin_body, ()
+                for suffix, h in heads:
+                    if h is not None and h.qual is Qual.UN:
+                        yield f"{rule}-Un{suffix}", un_body, (h,)
 
     def check(self, g: Context, p: Process) -> Context:
-        matches = self._process_matches(g, p)
-        self._audit(_loc(p), len(matches))
-        if not matches:
+        found = self._first(self._process_matches(g, p), lambda: _loc(p))
+        if found is None:
             detail = "no pattern applies"
             if isinstance(p, (Output, Input)):
                 entry = g.get(p.chan)
@@ -326,9 +275,14 @@ class _Checker:
                     else f"no pattern for {type(p).__name__.lower()} on {p.chan} with entry {entry}"
                 )
             raise CheckError(ErrorKind.NO_PATTERN, _loc(p), detail)
-        rule, apply = matches[0]
-        step = self._record(rule, g, str(p))
-        out = apply()
+        # The rule body is called from here, not through a helper, so that
+        # each prefix costs two frames on the recursion path.
+        rule, body, extra = found
+        step = None
+        if self.trace is not None:
+            step = TraceStep(rule, g, str(p))
+            self.trace.append(step)
+        out = body(g, p, *extra)
         if step is not None:
             step.output_ctx = out
         if self.runtime_audits:
@@ -391,34 +345,29 @@ class _Checker:
                 )
         return g2.remove(p.binder).set(p.chan, Single(VOID))
 
-    def _rule_pair_side(self, g: Context, p: Process, side: str, kind: str) -> Context:
-        # Pair variants: unwrap one side, run the endpoint rule on it, rewrap.
+    def _rule_pair_side(self, g: Context, p: Process, suffix: str) -> Context:
+        # Pair variants: run the linear endpoint rule on one side alone, then
+        # put the voided side back next to the other one.
         entry = g.get(p.chan)
-        inner_item = entry.left if side == "left" else entry.right
-        other = entry.right if side == "left" else entry.left
-        inner_out = self.check(g.set(p.chan, Single(inner_item)), p)
+        inner = entry.left if suffix == "-l" else entry.right
+        inner_out = self.check(g.set(p.chan, Single(inner)), p)
         got = inner_out.get(p.chan)
-        if kind in ("lin-out", "lin-in"):
-            if got != Single(VOID):
-                raise AuditViolation(f"endpoint rule left {p.chan} at {got}, expected ◦")
-            rewrapped = Pair(VOID, other) if side == "left" else Pair(other, VOID)
-            return inner_out.set(p.chan, rewrapped)
-        raise AuditViolation(f"unknown pair-side kind {kind}")
+        if got != Single(VOID):
+            raise AuditViolation(f"endpoint rule left {p.chan} at {got}, expected ◦")
+        return inner_out.set(p.chan, _consumed(entry, suffix))
 
-    def _rule_out_un(self, g: Context, p: Output, item: Item) -> Context:
+    def _rule_out_un(self, g: Context, p: Output, head: Qualified) -> Context:
         # Send on an unrestricted endpoint: the type repeats itself, so the
         # argument is typed under the unchanged context.
-        payload, _ = _is_recursive_io(item, Send)
-        g2 = self.check_var(g, p.arg, payload)
+        g2 = self.check_var(g, p.arg, head.pre.payload)
         return self.check(g2, p.cont)
 
-    def _rule_in_un(self, g: Context, p: Input, item: Item) -> Context:
-        payload, _ = _is_recursive_io(item, Recv)
+    def _rule_in_un(self, g: Context, p: Input, head: Qualified) -> Context:
         if p.binder in g:
             raise CheckError(
                 ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {p.binder} shadows a context entry"
             )
-        g1 = g.add(p.binder, entry_of_type(payload))
+        g1 = g.add(p.binder, entry_of_type(head.pre.payload))
         g2 = self.check(g1, p.cont)
         if not is_un_entry(g2.get(p.binder)):
             raise CheckError(
@@ -448,6 +397,9 @@ class _Checker:
                 f"(residue {g2.get(p.binder)})",
             )
         return g2.remove(p.binder)
+
+    def _rule_inact(self, g: Context, p: Zero) -> Context:
+        return g
 
     def _rule_par(self, g: Context, p: Par) -> Context:
         return self.check(self.check(g, p.left), p.right)

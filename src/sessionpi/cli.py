@@ -7,7 +7,7 @@ congruence rewrites), ``table`` (recompute the context-algebra regression
 table).
 
 Exit codes: 0 accept/agree, 1 reject/diverge/mismatch, 2 usage or parse
-error, 3 inconclusive oracle verdict.
+error or input too deep to process, 3 inconclusive oracle verdict.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from .contexts import (
     ContextAlgebraError,
     context_equal,
     context_file_text,
+    pretty,
     to_decl_context,
 )
 from .declarative import Verdict, derivable
 from .parser import ParseError, parse_context, parse_process
 from .semantics import congruence_steps, reduce_step_labeled
-from .syntax import barendregt_rename, pretty
+from .syntax import barendregt_rename
 from .table import evaluate_table, expected_rows
 
 
@@ -346,6 +347,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError as err:
+        # Parsing, renaming and checking recurse on the term's depth.
+        print(f"input too deep: {err}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
         print(report.to_json())

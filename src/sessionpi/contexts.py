@@ -97,7 +97,11 @@ def entry_equal(e1: Entry, e2: Entry) -> bool:
 
 
 class Context:
-    """Immutable finite map from names to entries."""
+    """Immutable finite map from names to entries.
+
+    The derivability oracle uses the same map from names to void-free
+    types (``DeclContext``); it needs ``canonical`` and ``__hash__``.
+    """
 
     __slots__ = ("_entries",)
 
@@ -135,8 +139,15 @@ class Context:
         del new[name]
         return Context(new.items())
 
+    def canonical(self) -> tuple:
+        """Hashable, order-independent form, for memo tables."""
+        return tuple(sorted(self._entries.items(), key=lambda kv: kv[0]))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Context) and self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash(self.canonical())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,66 +166,24 @@ def context_equal(g1: Context, g2: Context) -> bool:
     return all(entry_equal(e, g2.get(name)) for name, e in g1.items())
 
 
-class DeclContext:
-    """Immutable finite map from names to (void-free) types."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[tuple[str, Type]] = ()):
-        self._entries = dict(entries)
-
-    def get(self, name: str) -> Type | None:
-        return self._entries.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def names(self) -> frozenset[str]:
-        return frozenset(self._entries)
-
-    def items(self) -> Iterator[tuple[str, Type]]:
-        return iter(self._entries.items())
-
-    def set(self, name: str, t: Type) -> "DeclContext":
-        new = dict(self._entries)
-        new[name] = t
-        return DeclContext(new.items())
-
-    def add(self, name: str, t: Type) -> "DeclContext":
-        if name in self._entries:
-            raise KeyError(f"{name} already bound")
-        new = dict(self._entries)
-        new[name] = t
-        return DeclContext(new.items())
-
-    def remove(self, name: str) -> "DeclContext":
-        new = dict(self._entries)
-        del new[name]
-        return DeclContext(new.items())
-
-    def canonical(self) -> tuple:
-        """Hashable, order-independent form, for memo tables."""
-        return tuple(sorted(self._entries.items(), key=lambda kv: kv[0]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DeclContext) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __str__(self) -> str:
-        return ", ".join(f"{name}: {t}" for name, t in self._entries.items()) or "∅"
-
-    def __repr__(self) -> str:
-        return f"DeclContext({self._entries!r})"
+# The oracle reads the same map with void-free types as values.
+DeclContext = Context
 
 
 def context_file_text(g: Context) -> str:
     """Serialize in context-file form (one ``name : entry`` per line)."""
     return "\n".join(f"{name} : {entry}" for name, entry in g.items())
+
+
+def pretty(value) -> str:
+    """Concrete syntax for a process, type, entry or context.
+
+    Parsing the result with the matching parser gives the value back;
+    contexts print in context-file form (one binding per line).
+    """
+    if isinstance(value, Context):
+        return context_file_text(value)
+    return str(value)
 
 
 def to_decl_context(g: Context) -> DeclContext:

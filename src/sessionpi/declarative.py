@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .contexts import DeclContext, is_safe_type, is_un_decl_context
-from .equality import head_qual, type_equal, unfold
+from .equality import head_qual, io_head, type_equal
 from .syntax import (
     ChanType,
     Endpoint,
@@ -170,7 +170,7 @@ def _derive(i: DeclContext, p: Process, state: dict, memo: dict) -> bool:
             t = i.get(chan)
             if t is None or binder in i:
                 return False
-            for t2, payload in _receive_shapes(t):
+            for t2, payload in _shapes(t, Recv):
                 if _derivable(i.set(chan, t2).add(binder, payload), body, state, memo):
                     return True
             return False
@@ -179,7 +179,7 @@ def _derive(i: DeclContext, p: Process, state: dict, memo: dict) -> bool:
                 t = split.right.get(chan)
                 if t is None:
                     continue
-                for t2, payload in _send_shapes(t):
+                for t2, payload in _shapes(t, Send):
                     if not derivable_value(split.left, arg, payload):
                         continue
                     if _derivable(split.right.set(chan, t2), body, state, memo):
@@ -188,38 +188,17 @@ def _derive(i: DeclContext, p: Process, state: dict, memo: dict) -> bool:
     raise TypeError(f"not a process: {p!r}")
 
 
-def _io_step(s: Endpoint, ctor) -> Optional[tuple[Type, Endpoint]]:
-    """Payload and continuation of a receive/send head, subject to the
-    unrestricted side condition (an ``un`` prefix must repeat itself)."""
-    h = unfold(s)
-    if not isinstance(h.pre, ctor):
-        return None
-    if h.qual is Qual.UN and not type_equal(s, h.pre.cont):
-        return None
-    return h.pre.payload, h.pre.cont
-
-
-def _receive_shapes(t: Type) -> Iterator[tuple[Type, Type]]:
-    """(context type after the step, payload type) for each way to read ``t``."""
-    yield from _shapes(t, Recv)
-
-
-def _send_shapes(t: Type) -> Iterator[tuple[Type, Type]]:
-    yield from _shapes(t, Send)
-
-
 def _shapes(t: Type, ctor) -> Iterator[tuple[Type, Type]]:
+    """(context type after the step, payload type) for each way ``t`` can
+    fire a ``ctor`` (``Send``/``Recv``) prefix."""
     if is_endpoint(t):
-        step = _io_step(t, ctor)
-        if step is not None:
-            payload, cont = step
-            yield cont, payload
+        h = io_head(t, ctor)
+        if h is not None:
+            yield h.pre.cont, h.pre.payload
         return
-    step = _io_step(t.left, ctor)
-    if step is not None:
-        payload, cont = step
-        yield ChanType(cont, t.right), payload
-    step = _io_step(t.right, ctor)
-    if step is not None:
-        payload, cont = step
-        yield ChanType(t.left, cont), payload
+    h = io_head(t.left, ctor)
+    if h is not None:
+        yield ChanType(h.pre.cont, t.right), h.pre.payload
+    h = io_head(t.right, ctor)
+    if h is not None:
+        yield ChanType(t.left, h.pre.cont), h.pre.payload

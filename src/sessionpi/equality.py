@@ -11,6 +11,8 @@ procedure terminates.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .syntax import (
     ChanType,
     End,
@@ -124,3 +126,18 @@ def head_qual(s: Endpoint) -> Qual:
 def is_un_end(s: Endpoint) -> bool:
     u = unfold(s)
     return u.qual is Qual.UN and isinstance(u.pre, End)
+
+
+def io_head(s: Endpoint, ctor) -> Optional[Qualified]:
+    """The unfolded head of ``s`` when it is a ``ctor`` (``Send``/``Recv``)
+    prefix that can fire, else ``None``.
+
+    A linear prefix always can; an unrestricted one only when its
+    continuation is ``s`` again, so that using it leaves the type unchanged.
+    """
+    h = unfold(s)
+    if not isinstance(h.pre, ctor):
+        return None
+    if h.qual is Qual.UN and not type_equal(h.pre.cont, s):
+        return None
+    return h

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .equality import head_qual, unfold
+from .contexts import is_un_type
+from .equality import unfold
 from .syntax import (
     ChanType,
     Endpoint,
@@ -33,7 +34,6 @@ from .syntax import (
     Output,
     Par,
     Process,
-    Qual,
     Recv,
     Repl,
     Send,
@@ -107,12 +107,6 @@ def _positions(p: Process, prefix: Path = ()) -> Iterator[tuple[Path, Process]]:
         yield from _positions(getattr(p, name), prefix + (name,))
 
 
-def _is_un_annotation(t: Type) -> bool:
-    if isinstance(t, ChanType):
-        return head_qual(t.left) is Qual.UN and head_qual(t.right) is Qual.UN
-    return head_qual(t) is Qual.UN
-
-
 def _local_steps(q: Process) -> Iterator[tuple[str, str, Process]]:
     """Single rewrites applicable at the root of ``q``."""
     match q:
@@ -135,7 +129,7 @@ def _local_steps(q: Process) -> Iterator[tuple[str, str, Process]]:
                 yield "scope-extrusion", "RL", Par(New(x, t, body.left), body.right)
             if isinstance(body, New):
                 yield "res-swap", "LR", New(body.binder, body.annot, New(x, t, body.cont))
-            if isinstance(body, Zero) and _is_un_annotation(t):
+            if isinstance(body, Zero) and is_un_type(t):
                 rule = "res-gc-pair" if isinstance(t, ChanType) else "res-gc"
                 yield rule, "LR", Zero()
     # The unit law read right to left holds at any subject.

@@ -111,7 +111,6 @@ class ChanType:
 Type = Union[Endpoint, ChanType]
 
 UN_END = Qualified(Qual.UN, End())
-LIN_END = Qualified(Qual.LIN, End())
 
 
 def is_endpoint(t: Type) -> bool:
@@ -199,11 +198,6 @@ Process = Union[Zero, Par, Repl, Output, Input, New]
 def _factor(p: Process) -> str:
     # Continuations and replication bodies sit above '|' in the grammar.
     return f"({p})" if isinstance(p, Par) else str(p)
-
-
-def pretty(value) -> str:
-    """Concrete syntax for any process, type, entry or context value."""
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +332,6 @@ def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()
         return name
 
     return rename(p, {})
-
-
-def process_size(p: Process) -> int:
-    match p:
-        case Zero():
-            return 1
-        case Par(left, right):
-            return 1 + process_size(left) + process_size(right)
-        case Repl(body) | Output(_, _, body) | Input(_, _, body) | New(_, _, body):
-            return 1 + process_size(body)
-    raise TypeError(f"not a process: {p!r}")
 
 
 def subprocesses(p: Process) -> Iterator[Process]:

@@ -28,7 +28,7 @@ from sessionpi.gen import (
     poll_system,
     un_server,
 )
-from tests.conftest import load_fixture
+from tests.conftest import fixture_names, load_fixture
 
 LIN_IN = parse_type("lin ?(un end).un end")
 LIN_OUT = parse_type("lin !(un end).un end")
@@ -262,3 +262,23 @@ def test_trace_serializes_renamed_process():
     result = type_check(ctx, p)
     assert result.process is not None
     assert result.process == barendregt_rename(p, avoid=ctx.names())
+
+
+def test_accepting_run_builds_no_location_strings(monkeypatch):
+    # With the trace and the audit off, an accepting run keeps no location
+    # string, so it must not build one.
+    import sessionpi.checker
+
+    def refuse(p):
+        raise AssertionError(f"location string built for {p!r}")
+
+    monkeypatch.setattr(sessionpi.checker, "_loc", refuse)
+    accepting = 0
+    for name in fixture_names():
+        g, p, expected = load_fixture(name)
+        if expected["check"] == "accepted":
+            assert type_check(g, p, trace=False).accepted, name
+            accepting += 1
+    assert accepting >= 4
+    g, p = poll_system(3)
+    assert type_check(g, p, trace=False).accepted

@@ -1,9 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from sessionpi import parse_context
 from sessionpi.cli import main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, fixture_names
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +59,36 @@ def test_check_json_residual_round_trips(capsys):
     from sessionpi.contexts import context_file_text
 
     assert context_file_text(residual) == payload["residual"]
+
+
+def test_check_trace_audit_json_matches_golden(capsys):
+    # Pins rule names and their order, residuals, errors, and every audit
+    # site with its match count; only the timing may differ.
+    golden = json.loads((GOLDEN / "check_trace_audit.json").read_text(encoding="utf-8"))
+    assert sorted(golden) == fixture_names()
+    for name, want in golden.items():
+        code, out, _ = run_cli(capsys, "check", *fixture_args(name), "--trace", "--audit", "--json")
+        report = json.loads(out)
+        del report["timing_ms"]
+        assert code == want["exit_code"], name
+        assert report == want["report"], name
+
+
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_too_deep_input_is_usage_error_without_traceback(tmp_path, command):
+    proc = tmp_path / "chain.pi"
+    proc.write_text("x!v." * 1000 + "0\n")
+    ctx = tmp_path / "chain.ctx"
+    ctx.write_text("x : rec a. un !(un end).a\nv : un end\n")
+    argv = [command, str(proc)] + (["--ctx", str(ctx)] if command == "check" else [])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "sessionpi.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "input too deep" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_check_trace_and_audit_flags(capsys):

@@ -5,6 +5,7 @@ from sessionpi import (
     Qual,
     Qualified,
     Rec,
+    Recv,
     Send,
     TypeVar,
     UN_END,
@@ -14,6 +15,7 @@ from sessionpi import (
     type_equal,
     unfold,
 )
+from sessionpi.equality import io_head
 from sessionpi.gen import POLL_RECV, POLL_SEND, gen_endpoint, gen_type
 from tests.helpers import expansion_equal
 
@@ -120,3 +122,29 @@ def test_dual_keeps_payloads():
     s = parse_type("lin ?(lin !(un end).un end).un end")
     d = dual(s)
     assert d == parse_type("lin !(lin !(un end).un end).un end")
+
+
+def test_io_head_linear_send_and_receive():
+    send = parse_type("lin !(un end).un end")
+    recv = parse_type("lin ?(un end).un end")
+    assert io_head(send, Send) == send
+    assert io_head(recv, Recv) == recv
+
+
+def test_io_head_unrestricted_prefix_repeating_itself():
+    t = parse_type("rec a. un ?(un end).a")
+    assert io_head(t, Recv) == unfold(t)
+
+
+def test_io_head_unrestricted_prefix_not_repeating_is_none():
+    assert io_head(parse_type("un !(un end).un end"), Send) is None
+
+
+def test_io_head_wrong_direction_is_none():
+    assert io_head(parse_type("lin !(un end).un end"), Recv) is None
+    assert io_head(parse_type("rec a. un ?(un end).a"), Send) is None
+
+
+def test_io_head_un_end_is_none():
+    assert io_head(UN_END, Send) is None
+    assert io_head(UN_END, Recv) is None
