@@ -128,6 +128,28 @@ def _loc(p: Process) -> str:
     return text
 
 
+def _bind(g: Context, p: Process, binder: str, entry: Entry) -> Context:
+    """``g`` with ``binder : entry`` added; the binder may not shadow an entry."""
+    if binder in g:
+        raise CheckError(
+            ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {binder} shadows a context entry"
+        )
+    return g.add(binder, entry)
+
+
+def _require_un(g: Context, p: Process, names: tuple[str, ...], where: str):
+    """Reject ``p`` unless each of ``names`` is left unrestricted in ``g``;
+    ``where`` is "in the continuation" or "in its scope"."""
+    for name in names:
+        residue = g.get(name)
+        if not is_un_entry(residue):
+            raise CheckError(
+                ErrorKind.LINEAR_RESIDUAL,
+                _loc(p),
+                f"linear usage of {name} not finished {where} (residue {residue})",
+            )
+
+
 def _slots(entry: Entry) -> tuple[tuple[str, Item], ...]:
     """The slots of an entry, each with the suffix its rule names carry."""
     if isinstance(entry, Single):
@@ -307,42 +329,20 @@ class _Checker:
         # Send on a linear endpoint: type the argument with the channel slot
         # voided, resume the continuation at the continuation type, demand an
         # unrestricted residue for the channel, and hand back a voided slot.
-        entry = g.get(p.chan)
-        h = unfold(entry.item)
-        payload, cont_t = h.pre.payload, h.pre.cont
-        g1 = g.set(p.chan, Single(VOID))
-        g2 = self.check_var(g1, p.arg, payload)
-        g3 = self.check(update_entry(g2, p.chan, cont_t), p.cont)
-        residue = g3.get(p.chan)
-        if not is_un_entry(residue):
-            raise CheckError(
-                ErrorKind.LINEAR_RESIDUAL,
-                _loc(p),
-                f"linear usage of {p.chan} not finished in the continuation (residue {residue})",
-            )
+        h = unfold(g.get(p.chan).item)
+        g2 = self.check_var(g.set(p.chan, Single(VOID)), p.arg, h.pre.payload)
+        g3 = self.check(update_entry(g2, p.chan, h.pre.cont), p.cont)
+        _require_un(g3, p, (p.chan,), "in the continuation")
         return g3.set(p.chan, Single(VOID))
 
     def _rule_in_lin(self, g: Context, p: Input) -> Context:
         # Receive on a linear endpoint: bind the payload, resume at the
         # continuation type, demand unrestricted residues for both the channel
         # and the binder, then drop the binder and void the channel slot.
-        entry = g.get(p.chan)
-        h = unfold(entry.item)
-        payload, cont_t = h.pre.payload, h.pre.cont
-        if p.binder in g:
-            raise CheckError(
-                ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {p.binder} shadows a context entry"
-            )
-        g1 = g.set(p.chan, Single(cont_t)).add(p.binder, entry_of_type(payload))
+        h = unfold(g.get(p.chan).item)
+        g1 = _bind(g.set(p.chan, Single(h.pre.cont)), p, p.binder, entry_of_type(h.pre.payload))
         g2 = self.check(g1, p.cont)
-        for name in (p.chan, p.binder):
-            if not is_un_entry(g2.get(name)):
-                raise CheckError(
-                    ErrorKind.LINEAR_RESIDUAL,
-                    _loc(p),
-                    f"linear usage of {name} not finished in the continuation "
-                    f"(residue {g2.get(name)})",
-                )
+        _require_un(g2, p, (p.chan, p.binder), "in the continuation")
         return g2.remove(p.binder).set(p.chan, Single(VOID))
 
     def _rule_pair_side(self, g: Context, p: Process, suffix: str) -> Context:
@@ -363,19 +363,8 @@ class _Checker:
         return self.check(g2, p.cont)
 
     def _rule_in_un(self, g: Context, p: Input, head: Qualified) -> Context:
-        if p.binder in g:
-            raise CheckError(
-                ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {p.binder} shadows a context entry"
-            )
-        g1 = g.add(p.binder, entry_of_type(head.pre.payload))
-        g2 = self.check(g1, p.cont)
-        if not is_un_entry(g2.get(p.binder)):
-            raise CheckError(
-                ErrorKind.LINEAR_RESIDUAL,
-                _loc(p),
-                f"linear usage of {p.binder} not finished in its scope "
-                f"(residue {g2.get(p.binder)})",
-            )
+        g2 = self.check(_bind(g, p, p.binder, entry_of_type(head.pre.payload)), p.cont)
+        _require_un(g2, p, (p.binder,), "in its scope")
         return g2.remove(p.binder)
 
     def _rule_res(self, g: Context, p: New) -> Context:
@@ -383,19 +372,8 @@ class _Checker:
             raise CheckError(
                 ErrorKind.UNSAFE_ANNOTATION, _loc(p), f"annotation {p.annot} is not safe"
             )
-        if p.binder in g:
-            raise CheckError(
-                ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {p.binder} shadows a context entry"
-            )
-        g1 = g.add(p.binder, entry_of_type(p.annot))
-        g2 = self.check(g1, p.cont)
-        if not is_un_entry(g2.get(p.binder)):
-            raise CheckError(
-                ErrorKind.LINEAR_RESIDUAL,
-                _loc(p),
-                f"linear usage of {p.binder} not finished in its scope "
-                f"(residue {g2.get(p.binder)})",
-            )
+        g2 = self.check(_bind(g, p, p.binder, entry_of_type(p.annot)), p.cont)
+        _require_un(g2, p, (p.binder,), "in its scope")
         return g2.remove(p.binder)
 
     def _rule_inact(self, g: Context, p: Zero) -> Context:
@@ -419,18 +397,18 @@ def type_check(
     g: Context,
     p: Process,
     *,
-    rename: bool = True,
     trace: bool = True,
     audit: bool = False,
     runtime_audits: bool = False,
 ) -> CheckResult:
     """Check ``p`` against ``g``; accept when the residue is unrestricted.
 
-    Rejects immediately on an unsafe context.  The process is alpha-renamed
-    to the Barendregt convention (binders distinct from each other, from free
-    variables, and from context names) before checking; traces show the
-    renamed term.
+    The process is first alpha-renamed to the Barendregt convention (binders
+    distinct from each other, from free variables, and from context names);
+    traces show the renamed term, which the result keeps as ``process``.
+    Rejects without checking on an unsafe context.
     """
+    q = barendregt_rename(p, avoid=g.names())
     if not is_safe_context(g):
         offending = [name for name, e in g.items() if not is_safe_entry(e)]
         return CheckResult(
@@ -441,8 +419,8 @@ def type_check(
                 "initial context",
                 f"context is not safe at {', '.join(offending)}",
             ),
+            process=q,
         )
-    q = barendregt_rename(p, avoid=g.names()) if rename else p
     run = _Checker(trace=trace, audit=audit, runtime_audits=runtime_audits)
     try:
         out = run.check(g, q)
@@ -478,18 +456,16 @@ def check_var(g: Context, x: str, t: Type) -> Context:
     return _Checker(trace=False).check_var(g, x, t)
 
 
-def audit_pattern_matches(g: Context, p: Process, *, rename: bool = True) -> list[AuditRecord]:
+def audit_pattern_matches(g: Context, p: Process) -> list[AuditRecord]:
     """Match counts for every recursive call reached while checking (g, p).
 
     Counts the patterns whose guards hold, evaluated independently of which
     one runs; the run itself proceeds normally and may reject.  On a safe
     context every record's count is at most one.
     """
-    if rename:
-        p = barendregt_rename(p, avoid=g.names())
     run = _Checker(trace=False, audit=True)
     try:
-        run.check(g, p)
+        run.check(g, barendregt_rename(p, avoid=g.names()))
     except (CheckError, ContextAlgebraError):
         pass
     return run.audits or []

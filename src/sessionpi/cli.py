@@ -31,7 +31,7 @@ from .contexts import (
 )
 from .declarative import Verdict, derivable
 from .parser import ParseError, parse_context, parse_process
-from .semantics import congruence_steps, reduce_step_labeled
+from .semantics import congruence_steps, reduce_trace_labeled
 from .syntax import barendregt_rename
 from .table import evaluate_table, expected_rows
 
@@ -126,7 +126,7 @@ def cmd_oracle(args) -> RunReport:
     ctx, process = _load_problem(args)
     decl = to_decl_context(ctx)  # rejects void entries
     result = type_check(ctx, process)
-    oracle = derivable(decl, barendregt_rename(process, avoid=ctx.names()), bound=args.bound)
+    oracle = derivable(decl, result.process, bound=args.bound)
     report.timing_ms = (time.perf_counter() - started) * 1000
     report.accepted = result.accepted
     if result.error is not None:
@@ -150,16 +150,10 @@ def cmd_reduce(args) -> RunReport:
     report = RunReport("reduce")
     started = time.perf_counter()
     process = parse_process(_read(args.process_file))
-    current = process
-    steps = [{"step": 0, "rule": "-", "term": pretty(current)}]
-    for number in range(1, args.steps + 1):
-        current = barendregt_rename(current)
-        labeled = reduce_step_labeled(current, radius=args.radius)
-        if not labeled:
-            break
-        chan, reduct = min(labeled, key=lambda pair: str(pair[1]))
+    steps = [{"step": 0, "rule": "-", "term": pretty(process)}]
+    labeled = reduce_trace_labeled(process, args.steps, radius=args.radius)
+    for number, (chan, reduct) in enumerate(labeled, start=1):
         steps.append({"step": number, "rule": f"R-Com on {chan}", "term": pretty(reduct)})
-        current = reduct
     report.timing_ms = (time.perf_counter() - started) * 1000
     report.steps = steps
     report.exit_code = 0
@@ -349,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"io error: {err}", file=sys.stderr)
         return 2
     except RecursionError as err:
-        # Parsing, renaming and checking recurse on the term's depth.
+        # Renaming and checking recurse on the term's depth.
         print(f"input too deep: {err}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):

@@ -331,21 +331,26 @@ def _close_item(m1: Item, m2: Item) -> Item:
     return m1  # un p ▷ un p = un p
 
 
-def closure(g1: Context, g2: Context) -> Context:
-    """``g1 ▷ g2``: what ``g1`` spent to become ``g2``.  Pointwise, partial."""
+def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
+    """Combine two contexts of equal domain slot by slot with ``op``."""
     if g1.names() != g2.names():
-        raise ContextAlgebraError("closure needs contexts with equal domains")
+        raise ContextAlgebraError(f"{what} needs contexts with equal domains")
     out = []
     for name, e1 in g1.items():
         e2 = g2.get(name)
         match (e1, e2):
             case (Single(a), Single(b)):
-                out.append((name, Single(_close_item(a, b))))
+                out.append((name, Single(op(a, b))))
             case (Pair(a, b), Pair(c, d)):
-                out.append((name, Pair(_close_item(a, c), _close_item(b, d))))
+                out.append((name, Pair(op(a, c), op(b, d))))
             case _:
                 raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
     return Context(out)
+
+
+def closure(g1: Context, g2: Context) -> Context:
+    """``g1 ▷ g2``: what ``g1`` spent to become ``g2``.  Pointwise, partial."""
+    return _pointwise(g1, g2, _close_item, "closure")
 
 
 def _used_item(m: Item) -> Endpoint:
@@ -394,16 +399,4 @@ def _update_item(m1: Item, m2: Item) -> Item:
 
 def update_context(g1: Context, g2: Context) -> Context:
     """``g1 ⊎ g2``: pointwise combination; linear slots must not collide."""
-    if g1.names() != g2.names():
-        raise ContextAlgebraError("update needs contexts with equal domains")
-    out = []
-    for name, e1 in g1.items():
-        e2 = g2.get(name)
-        match (e1, e2):
-            case (Single(a), Single(b)):
-                out.append((name, Single(_update_item(a, b))))
-            case (Pair(a, b), Pair(c, d)):
-                out.append((name, Pair(_update_item(a, c), _update_item(b, d))))
-            case _:
-                raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
-    return Context(out)
+    return _pointwise(g1, g2, _update_item, "update")

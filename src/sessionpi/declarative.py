@@ -3,9 +3,11 @@
 The declarative system distributes a context between the threads of a
 parallel composition instead of threading it: unrestricted entries are
 copied to both sides, linear entries go to exactly one side, and a pair of
-linear ends may be divided between the two sides.  Derivability is decided
-by a memoized backtracking search over rule choices and splits, bounded by a
-node budget; exceeding the budget yields INCONCLUSIVE rather than a verdict.
+linear ends may be divided between the two sides.  Splits are duplicate-free
+by construction: each entry's options are pairwise distinct, so no two of
+their combinations coincide.  Derivability is decided by a memoized
+backtracking search over rule choices and splits, bounded by a node budget;
+exceeding the budget yields INCONCLUSIVE rather than a verdict.
 
 This module exists to cross-check the deterministic checker: everything the
 checker accepts must be derivable here, while the converse fails on known
@@ -66,8 +68,9 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _entry_options(name: str, t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
-    """Ways one entry may be divided; ``None`` means absent from that side."""
+def _entry_options(t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
+    """Ways one entry may be divided, pairwise distinct; ``None`` means absent
+    from that side."""
     if is_endpoint(t):
         if head_qual(t) is Qual.UN:
             return [(t, t)]
@@ -76,12 +79,11 @@ def _entry_options(name: str, t: Type) -> list[tuple[Optional[Type], Optional[Ty
     if lq is Qual.UN and rq is Qual.UN:
         return [(t, t)]
     if lq is Qual.LIN and rq is Qual.LIN:
-        return [
-            (t, None),
-            (None, t),
-            (t.left, t.right),
-            (t.right, t.left),
-        ]
+        options = [(t, None), (None, t), (t.left, t.right)]
+        if t.left != t.right:
+            # With equal ends the mirrored half-split is the same split.
+            options.append((t.right, t.left))
+        return options
     # One linear end, one unrestricted end: the whole pair goes to one side,
     # the unrestricted end alone is copied to the other.
     un_side: Endpoint = t.left if lq is Qual.UN else t.right
@@ -89,17 +91,14 @@ def _entry_options(name: str, t: Type) -> list[tuple[Optional[Type], Optional[Ty
 
 
 def enumerate_splits(i: DeclContext) -> Iterator[Split]:
-    """All divisions of ``i`` licensed by the splitting rules, without duplicates."""
+    """All divisions of ``i`` licensed by the splitting rules.  Entries are
+    divided independently and each one's options are distinct, so no split
+    repeats and none needs filtering."""
     names = sorted(i.names())
-    options = [_entry_options(name, i.get(name)) for name in names]
-    seen = set()
+    options = [_entry_options(i.get(name)) for name in names]
     for combo in itertools.product(*options):
         left = [(n, t) for n, (t, _) in zip(names, combo) if t is not None]
         right = [(n, t) for n, (_, t) in zip(names, combo) if t is not None]
-        key = (tuple(left), tuple(right))
-        if key in seen:
-            continue
-        seen.add(key)
         yield Split(DeclContext(left), DeclContext(right), i)
 
 
@@ -123,69 +122,70 @@ def derivable_value(i: DeclContext, v: str, t: Type) -> bool:
 
 def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
     """Search for a derivation of ``i ⊢ p``; the process must be renamed apart."""
-    state = {"left": bound}
-    memo: dict[tuple, bool] = {}
+    search = _Search(bound)
     try:
-        ok = _derivable(i, p, state, memo)
+        ok = search.derivable(i, p)
     except _BudgetExceeded:
         return OracleResult(Verdict.INCONCLUSIVE, bound, bound)
     verdict = Verdict.DERIVABLE if ok else Verdict.NOT_DERIVABLE
-    return OracleResult(verdict, bound, bound - state["left"])
+    return OracleResult(verdict, bound, bound - search.left)
 
 
-def _spend(state: dict):
-    state["left"] -= 1
-    if state["left"] < 0:
-        raise _BudgetExceeded
+class _Search:
+    """One search: the node budget still ``left`` and the memo of decided
+    (context, process) goals.  Recursive calls sit in plain loops, not in
+    ``any(...)``, so that each process level costs two frames."""
 
+    def __init__(self, bound: int):
+        self.left = bound
+        self.memo: dict[tuple, bool] = {}
 
-def _derivable(i: DeclContext, p: Process, state: dict, memo: dict) -> bool:
-    key = (i.canonical(), p)
-    if key in memo:
-        return memo[key]
-    _spend(state)
-    result = _derive(i, p, state, memo)
-    memo[key] = result
-    return result
+    def derivable(self, i: DeclContext, p: Process) -> bool:
+        """Probe the memo once; a goal not decided yet costs one node."""
+        key = (i.canonical(), p)
+        result = self.memo.get(key)
+        if result is None:
+            self.left -= 1
+            if self.left < 0:
+                raise _BudgetExceeded
+            result = self.memo[key] = self._derive(i, p)
+        return result
 
-
-def _derive(i: DeclContext, p: Process, state: dict, memo: dict) -> bool:
-    match p:
-        case Zero():
-            return is_un_decl_context(i)
-        case Repl(body):
-            return is_un_decl_context(i) and _derivable(i, body, state, memo)
-        case Par(left, right):
-            for split in enumerate_splits(i):
-                if _derivable(split.left, left, state, memo) and _derivable(
-                    split.right, right, state, memo
-                ):
-                    return True
-            return False
-        case New(binder, annot, body):
-            if not is_safe_type(annot) or binder in i:
-                return False
-            return _derivable(i.add(binder, annot), body, state, memo)
-        case Input(chan, binder, body):
-            t = i.get(chan)
-            if t is None or binder in i:
-                return False
-            for t2, payload in _shapes(t, Recv):
-                if _derivable(i.set(chan, t2).add(binder, payload), body, state, memo):
-                    return True
-            return False
-        case Output(chan, arg, body):
-            for split in enumerate_splits(i):
-                t = split.right.get(chan)
-                if t is None:
-                    continue
-                for t2, payload in _shapes(t, Send):
-                    if not derivable_value(split.left, arg, payload):
-                        continue
-                    if _derivable(split.right.set(chan, t2), body, state, memo):
+    def _derive(self, i: DeclContext, p: Process) -> bool:
+        match p:
+            case Zero():
+                return is_un_decl_context(i)
+            case Repl(body):
+                return is_un_decl_context(i) and self.derivable(i, body)
+            case Par(left, right):
+                for split in enumerate_splits(i):
+                    if self.derivable(split.left, left) and self.derivable(split.right, right):
                         return True
-            return False
-    raise TypeError(f"not a process: {p!r}")
+                return False
+            case New(binder, annot, body):
+                if not is_safe_type(annot) or binder in i:
+                    return False
+                return self.derivable(i.add(binder, annot), body)
+            case Input(chan, binder, body):
+                t = i.get(chan)
+                if t is None or binder in i:
+                    return False
+                for t2, payload in _shapes(t, Recv):
+                    if self.derivable(i.set(chan, t2).add(binder, payload), body):
+                        return True
+                return False
+            case Output(chan, arg, body):
+                for split in enumerate_splits(i):
+                    t = split.right.get(chan)
+                    if t is None:
+                        continue
+                    for t2, payload in _shapes(t, Send):
+                        if not derivable_value(split.left, arg, payload):
+                            continue
+                        if self.derivable(split.right.set(chan, t2), body):
+                            return True
+                return False
+        raise TypeError(f"not a process: {p!r}")
 
 
 def _shapes(t: Type, ctor) -> Iterator[tuple[Type, Type]]:

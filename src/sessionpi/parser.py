@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .syntax import (
     ChanType,
@@ -291,30 +292,36 @@ def _validate_annotations(p: Process):
             pass
 
 
-def parse_process(src: str) -> Process:
+def _parse(src: str, rule: Callable, validate: Callable):
+    """Parse all of ``src`` with ``rule``, then ``validate`` the result; both
+    recurse on nesting depth, and too deep an input is a ParseError."""
     parser = _Parser(src)
-    p = parser.process()
-    parser.expect("eof")
-    _validate_annotations(p)
-    return p
+    try:
+        result = rule(parser)
+        parser.expect("eof")
+        validate(result)
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("input too deep to parse", tok.line, tok.column) from None
+    return result
 
 
-def parse_type(src: str) -> Type:
-    parser = _Parser(src)
-    t = parser.type_()
-    parser.expect("eof")
-    _check_closed_contractive(t)
-    return t
-
-
-def parse_entry(src: str) -> Entry:
-    parser = _Parser(src)
-    e = parser.entry()
-    parser.expect("eof")
+def _validate_entry(e: Entry):
     for item in (e.item,) if isinstance(e, Single) else (e.left, e.right):
         if item is not VOID:
             _check_closed_contractive(item, "entry")
-    return e
+
+
+def parse_process(src: str) -> Process:
+    return _parse(src, _Parser.process, _validate_annotations)
+
+
+def parse_type(src: str) -> Type:
+    return _parse(src, _Parser.type_, _check_closed_contractive)
+
+
+def parse_entry(src: str) -> Entry:
+    return _parse(src, _Parser.entry, _validate_entry)
 
 
 def parse_context(src: str) -> Context:

@@ -55,17 +55,6 @@ class RewriteStep:
     result: Process
 
 
-RULES = (
-    "par-comm",
-    "par-assoc",
-    "par-unit",
-    "repl-unfold",
-    "scope-extrusion",
-    "res-swap",
-    "res-gc",
-    "res-gc-pair",
-)
-
 _CHILDREN = {
     Par: ("left", "right"),
     Repl: ("body",),
@@ -319,15 +308,23 @@ def reduce_step_labeled(p: Process, radius: int = 3) -> list[tuple[str, Process]
     return results
 
 
-def reduce_trace(p: Process, max_steps: int, radius: int = 3) -> list[Process]:
-    """A reduction prefix from ``p``: deterministic first-reduct policy."""
-    trace = [p]
+def reduce_trace_labeled(p: Process, max_steps: int, radius: int = 3) -> list[tuple[str, Process]]:
+    """A reduction prefix from ``p``, one (channel, reduct) per step.
+
+    Each step renames the current term apart and takes the first of its
+    reducts that is least by ``str``: a deterministic policy.
+    """
+    steps = []
     current = p
     for _ in range(max_steps):
-        current = barendregt_rename(current)
-        reducts = reduce_step(current, radius)
-        if not reducts:
+        labeled = reduce_step_labeled(barendregt_rename(current), radius)
+        if not labeled:
             break
-        current = min(reducts, key=str)
-        trace.append(current)
-    return trace
+        chan, current = min(labeled, key=lambda step: str(step[1]))
+        steps.append((chan, current))
+    return steps
+
+
+def reduce_trace(p: Process, max_steps: int, radius: int = 3) -> list[Process]:
+    """``p`` followed by the reducts of ``reduce_trace_labeled``."""
+    return [p] + [reduct for _, reduct in reduce_trace_labeled(p, max_steps, radius)]

@@ -2,6 +2,9 @@
 ``sp.<name>[.<name>...]`` chains on the imported package.  Each chain must
 resolve, so that removing a name the benchmark needs fails here."""
 
+import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -33,3 +36,26 @@ def test_benchmark_chains_resolve_on_the_package():
                 break
             value = getattr(value, part)
     assert not missing, missing
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_functions_the_tracer_reads_are_public_in_their_layer():
+    # The tracer finds layer metrics by function name; a renamed, private or
+    # moved function would turn its metric into 0 without an error.
+    tracing = _tracing()
+    names = {"equality.unfold", "equality.type_equal", "declarative.enumerate_splits"}
+    names |= set(tracing._HOOKS)
+    names |= {f"{layer}.{fn}" for layer, fns in tracing.PARTS.values() for fn in fns}
+    for name in sorted(names):
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"sessionpi.{layer}")
+        value = getattr(module, fn, None)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+        assert not fn.startswith("_"), name
+    assert inspect.isgeneratorfunction(sessionpi.declarative.enumerate_splits)

@@ -128,6 +128,8 @@ def test_unsafe_initial_context_rejected_immediately():
     assert not result.accepted
     assert result.error.kind is ErrorKind.UNSAFE_ANNOTATION
     assert result.trace == []
+    # The process is renamed before the safety check, so the result keeps it.
+    assert result.process == parse_process("0")
 
 
 def test_leftover_linear_entry_rejected():

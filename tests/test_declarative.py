@@ -194,3 +194,24 @@ def test_spot_agreement_on_random_instances():
             q = barendregt_rename(p, avoid=ctx.names())
             assert derivable(i, q).verdict is Verdict.DERIVABLE
     assert checked >= 1
+
+
+def test_split_equal_sided_pair_three_ways():
+    # Both ends equal: the two half-splits coincide, so there is one of them.
+    i = DeclContext([("x", ChanType(LIN_OUT, LIN_OUT))])
+    splits = list(enumerate_splits(i))
+    assert len(splits) == 3
+    assert all(_recombines(s) for s in splits)
+
+
+def test_poll_search_spends_pinned_node_counts():
+    # The search order is part of the contract: the same goals are decided
+    # in the same order, so the node counts stay fixed.
+    spent = []
+    for n in range(1, 7):
+        for swapped in (False, True):
+            ctx, p = poll_system(n, swapped=swapped)
+            res = derivable(to_decl_context(ctx), barendregt_rename(p, avoid=ctx.names()))
+            assert res.verdict is Verdict.DERIVABLE
+            spent.append(res.spent)
+    assert spent == [19, 16, 28, 21, 50, 35, 106, 75, 234, 171, 522, 395]

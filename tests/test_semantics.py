@@ -8,6 +8,7 @@ from sessionpi.semantics import (
     reduce_step,
     reduce_step_labeled,
     reduce_trace,
+    reduce_trace_labeled,
 )
 from sessionpi.syntax import New, Par, Zero
 
@@ -137,3 +138,11 @@ def test_reduce_trace_two_sequential_communications():
     trace = reduce_trace(p, 5)
     assert len(trace) == 3
     assert pretty(trace[-1]) == "0 | 0"
+
+
+def test_reduce_trace_labeled_names_each_step_channel():
+    p = parse_process("x!v.y!v.0 | x?(a).y?(b).0")
+    labeled = reduce_trace_labeled(p, 5)
+    assert [chan for chan, _ in labeled] == ["x", "y"]
+    assert reduce_trace(p, 5) == [p] + [reduct for _, reduct in labeled]
+    assert reduce_trace_labeled(p, 1) == labeled[:1]

@@ -19,6 +19,7 @@ from sessionpi import (
     barendregt_rename,
     free_vars,
     parse_context,
+    parse_entry,
     parse_process,
     parse_type,
     pretty,
@@ -211,3 +212,13 @@ def test_substitute_free_variable_law():
             continue
         q = substitute(p, "z", "x")
         assert free_vars(q) == (free_vars(p) - {"x"}) | {"z"}
+
+
+def test_parse_too_deep_is_parse_error():
+    with pytest.raises(ParseError, match="input too deep to parse"):
+        parse_process("x!v." * 5000 + "0")
+    nested = "lin !(" * 5000 + "un end" + ").un end" * 5000
+    with pytest.raises(ParseError, match="input too deep to parse"):
+        parse_type(nested)
+    with pytest.raises(ParseError, match="input too deep to parse"):
+        parse_entry("<" + nested + ", un end>")
