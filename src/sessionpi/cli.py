@@ -125,7 +125,7 @@ def cmd_oracle(args) -> RunReport:
     started = time.perf_counter()
     ctx, process = _load_problem(args)
     decl = to_decl_context(ctx)  # rejects void entries
-    result = type_check(ctx, process)
+    result = type_check(ctx, process, trace=False)
     oracle = derivable(decl, result.process, bound=args.bound)
     report.timing_ms = (time.perf_counter() - started) * 1000
     report.accepted = result.accepted
@@ -166,7 +166,7 @@ def cmd_congruence(args) -> RunReport:
     ctx, process = _load_problem(args)
     rng = random.Random(args.seed)
     current = process
-    baseline = type_check(ctx, current)
+    baseline = type_check(ctx, current, trace=False)
     size_cap = 400
     runs = 0
     for iteration in range(args.iterations):
@@ -181,7 +181,7 @@ def cmd_congruence(args) -> RunReport:
             break
         step = rng.choice(steps)
         rewritten = step.result
-        result = type_check(ctx, rewritten)
+        result = type_check(ctx, rewritten, trace=False)
         same_verdict = result.accepted == baseline.accepted
         same_residual = (
             result.residual is None

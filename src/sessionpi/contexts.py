@@ -108,6 +108,13 @@ class Context:
     def __init__(self, entries: Iterable[tuple[str, Entry]] = ()):
         self._entries = dict(entries)
 
+    @classmethod
+    def _owning(cls, entries: dict[str, Entry]) -> "Context":
+        """Wrap a dict that no one else holds, without copying it again."""
+        g = cls.__new__(cls)
+        g._entries = entries
+        return g
+
     def get(self, name: str) -> Entry | None:
         return self._entries.get(name)
 
@@ -123,21 +130,17 @@ class Context:
     def set(self, name: str, entry: Entry) -> "Context":
         if name not in self._entries:
             raise KeyError(name)
-        new = dict(self._entries)
-        new[name] = entry
-        return Context(new.items())
+        return Context._owning({**self._entries, name: entry})
 
     def add(self, name: str, entry: Entry) -> "Context":
         if name in self._entries:
             raise KeyError(f"{name} already bound")
-        new = dict(self._entries)
-        new[name] = entry
-        return Context(new.items())
+        return Context._owning({**self._entries, name: entry})
 
     def remove(self, name: str) -> "Context":
         new = dict(self._entries)
         del new[name]
-        return Context(new.items())
+        return Context._owning(new)
 
     def canonical(self) -> tuple:
         """Hashable, order-independent form, for memo tables."""
@@ -286,31 +289,17 @@ def is_un_decl_context(i: DeclContext) -> bool:
 # Entry update (⊎ seed: fill a void slot)
 # ---------------------------------------------------------------------------
 
-def update_entry(g: Context, x: str, m: Endpoint, side: str | None = None) -> Context:
-    """Replace the void slot of ``x`` by the endpoint type ``m``.
+def update_entry(g: Context, x: str, m: Endpoint) -> Context:
+    """Replace the void single slot of ``x`` by the endpoint type ``m``.
 
-    For a pair entry the caller selects the slot with ``side`` ('left' or
-    'right').  Updating a non-void slot is a contract violation.
+    Updating any other entry is a contract violation.
     """
     entry = g.get(x)
     if entry is None:
         raise ContextAlgebraError(f"{x} is not in the context")
-    match entry:
-        case Single(item):
-            if not isinstance(item, Void):
-                raise ContextAlgebraError(f"slot for {x} is {entry}, not ◦")
-            return g.set(x, Single(m))
-        case Pair(left, right):
-            if side == "left":
-                if not isinstance(left, Void):
-                    raise ContextAlgebraError(f"left slot for {x} is {left}, not ◦")
-                return g.set(x, Pair(m, right))
-            if side == "right":
-                if not isinstance(right, Void):
-                    raise ContextAlgebraError(f"right slot for {x} is {right}, not ◦")
-                return g.set(x, Pair(left, m))
-            raise ContextAlgebraError(f"pair entry for {x} needs side='left' or 'right'")
-    raise TypeError(f"not an entry: {entry!r}")
+    if entry != Single(VOID):
+        raise ContextAlgebraError(f"slot for {x} is {entry}, not ◦")
+    return g.set(x, Single(m))
 
 
 # ---------------------------------------------------------------------------

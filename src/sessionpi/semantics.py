@@ -14,9 +14,11 @@ hidden behind replication or an inner restriction are exposed by a bounded
 search over the rewrites that can reveal them: replication unfolding and
 extruding a restriction out of its soup.
 
-When a communication fires on a restricted channel, the binder's annotation
-advances by one step on both ends, keeping annotations accurate for
-re-typing the reduct.
+Each redex records the restriction that binds its channel in scope (the
+innermost one), or none when the channel is free.  When a communication
+fires on a restricted channel, that binder's annotation advances by one
+step on both ends; on a free channel, the caller's context entry is the one
+that moves, so retyping a reduct needs no search.
 """
 
 from __future__ import annotations
@@ -164,16 +166,27 @@ def _soup(p: Process, prefix: Path = ()) -> list[tuple[Path, Process]]:
 
 @dataclass(frozen=True)
 class _Com:
+    """A communication redex.  ``binder_path`` is the path of the restriction
+    that binds ``chan`` in scope; it is None exactly when ``chan`` is free."""
+
     chan: str
     out_path: Path
     in_path: Path
+    binder_path: Optional[Path]
 
 
-def _coms(p: Process, prefix: Path = ()) -> Iterator[_Com]:
-    """Communication redexes reachable without structural rewriting."""
+def _coms(
+    p: Process, prefix: Path = (), binders: Optional[dict[str, Path]] = None
+) -> Iterator[_Com]:
+    """Communication redexes reachable without structural rewriting.
+
+    ``binders`` maps each name restricted on the spine above ``p`` to the
+    path of its innermost restriction.
+    """
+    binders = binders or {}
     match p:
-        case New(_, _, body):
-            yield from _coms(body, prefix + ("cont",))
+        case New(x, _, body):
+            yield from _coms(body, prefix + ("cont",), {**binders, x: prefix})
         case Par(_, _):
             components = _soup(p, prefix)
             for out_path, out in components:
@@ -181,10 +194,10 @@ def _coms(p: Process, prefix: Path = ()) -> Iterator[_Com]:
                     continue
                 for in_path, inp in components:
                     if isinstance(inp, Input) and inp.chan == out.chan:
-                        yield _Com(out.chan, out_path, in_path)
+                        yield _Com(out.chan, out_path, in_path, binders.get(out.chan))
             for path, comp in components:
                 if isinstance(comp, New):
-                    yield from _coms(comp.cont, path + ("cont",))
+                    yield from _coms(comp, path, binders)
         case _:
             return
 
@@ -208,24 +221,10 @@ def _fire(p: Process, com: _Com) -> Process:
     inp: Input = get_at(p, com.in_path)
     result = replace_at(p, com.out_path, out.cont)
     result = replace_at(result, com.in_path, substitute(inp.cont, out.arg, inp.binder))
-    # Advance the annotation of the communicating channel's binder, if any:
-    # the deepest restriction on the spine above both participants.
-    lca_len = 0
-    while (
-        lca_len < len(com.out_path)
-        and lca_len < len(com.in_path)
-        and com.out_path[lca_len] == com.in_path[lca_len]
-    ):
-        lca_len += 1
-    binder_path = None
-    for cut in range(lca_len + 1):
-        node = get_at(result, com.out_path[:cut])
-        if isinstance(node, New) and node.binder == com.chan:
-            binder_path = com.out_path[:cut]
-    if binder_path is not None:
-        node = get_at(result, binder_path)
+    if com.binder_path is not None:
+        node = get_at(result, com.binder_path)
         result = replace_at(
-            result, binder_path, New(node.binder, advance_type(node.annot), node.cont)
+            result, com.binder_path, New(node.binder, advance_type(node.annot), node.cont)
         )
     return result
 

@@ -1,12 +1,9 @@
-"""Shared test machinery: independent oracles and the retyping search."""
+"""Shared test machinery: independent oracles and subject-reduction retyping."""
 
 from __future__ import annotations
 
-import itertools
-
-from sessionpi import ChanType, Type, barendregt_rename, type_check
-from sessionpi.contexts import DeclContext, is_safe_type
-from sessionpi.declarative import Verdict, derivable
+from sessionpi import ChanType, Type, type_check
+from sessionpi.contexts import DeclContext
 from sessionpi.equality import unfold
 from sessionpi.semantics import advance_type
 from sessionpi.syntax import End, Recv, Send
@@ -58,48 +55,14 @@ def expansion_equal(t1: Type, t2: Type, depth: int = 12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Retyping search for subject-reduction suites
+# Retyping for subject-reduction suites
 # ---------------------------------------------------------------------------
 
-def advancement_candidates(t: Type, max_steps: int = 3) -> list[Type]:
-    """The type plus its first few one-communication advancements."""
-    out = [t]
-    current = t
-    for _ in range(max_steps):
-        stepped = advance_type(current)
-        if stepped == current or stepped in out:
-            break
-        out.append(stepped)
-        current = stepped
-    return out
-
-
-def find_retyping(i: DeclContext, reduct, max_steps: int = 3, bound: int = 200_000):
-    """Search safe same-domain contexts (entrywise advancements of ``i``)
-    for one that makes ``reduct`` derivable.
-
-    Returns (context, result) on success, (None, result-or-None) otherwise;
-    an INCONCLUSIVE oracle verdict is passed through for reporting.
-    """
-    names = sorted(i.names())
-    per_name = [advancement_candidates(i.get(name), max_steps) for name in names]
-    renamed = barendregt_rename(reduct, avoid=i.names())
-    combos = sorted(
-        itertools.product(*(range(len(c)) for c in per_name)), key=sum
-    )
-    saw_inconclusive = None
-    for combo in combos:
-        candidate = DeclContext(
-            (name, per_name[k][idx]) for k, (name, idx) in enumerate(zip(names, combo))
-        )
-        if not all(is_safe_type(t) for _, t in candidate.items()):
-            continue
-        result = derivable(candidate, renamed, bound=bound)
-        if result.verdict is Verdict.DERIVABLE:
-            return candidate, result
-        if result.verdict is Verdict.INCONCLUSIVE:
-            saw_inconclusive = result
-    return None, saw_inconclusive
+def retyped(i: DeclContext, chan: str) -> DeclContext:
+    """``i`` after one communication on ``chan``: a free channel's entry
+    advances one step; a restricted channel (not in ``i``, since terms are
+    renamed apart from it) leaves ``i`` unchanged."""
+    return i.set(chan, advance_type(i.get(chan))) if chan in i else i
 
 
 def accepted(ctx, p) -> bool:

@@ -18,6 +18,7 @@ from sessionpi.contexts import (
     Context,
     decl_to_context,
     entry_of_type,
+    is_safe_type,
     is_un_context,
     to_decl_context,
 )
@@ -29,13 +30,13 @@ from sessionpi.gen import (
     gen_type,
     poll_system,
 )
-from sessionpi.semantics import congruence_steps, reduce_step
+from sessionpi.semantics import congruence_steps, reduce_step_labeled
 from sessionpi.syntax import Input, New, Output, Par, Repl, Zero
 from sessionpi.table import evaluate_table
 from sessionpi.equality import type_equal, unfold
 from sessionpi import context_equal
 from tests.conftest import load_fixture
-from tests.helpers import expansion_equal, find_retyping
+from tests.helpers import expansion_equal, retyped
 
 
 def _verdict(num: int, ok: bool, detail: str):
@@ -266,30 +267,31 @@ def test_criterion_07_subject_reduction_search():
     failures = []
     for index, (ctx, p) in enumerate(fixtures):
         assert type_check(ctx, p, trace=False).accepted
-        decl = to_decl_context(ctx)
-        frontier = [barendregt_rename(p, avoid=ctx.names())]
-        seen = set(frontier)
+        renamed = barendregt_rename(p, avoid=ctx.names())
+        frontier = [(to_decl_context(ctx), renamed)]
+        seen = {renamed}
         for _ in range(3):
             next_frontier = []
-            for q in frontier:
-                for reduct in reduce_step(barendregt_rename(q, avoid=ctx.names())):
+            for decl, q in frontier:
+                for chan, reduct in reduce_step_labeled(barendregt_rename(q, avoid=ctx.names())):
                     if reduct in seen:
                         continue
                     seen.add(reduct)
-                    next_frontier.append(reduct)
+                    # The one context the step names: only ``chan`` moved.
+                    after = retyped(decl, chan)
+                    next_frontier.append((after, reduct))
                     reducts_checked += 1
-                    found, info = find_retyping(decl, reduct)
-                    if found is None:
-                        if info is not None and info.verdict is Verdict.INCONCLUSIVE:
-                            inconclusive.append((index, str(reduct), info.bound))
-                        else:
-                            failures.append((index, str(reduct)))
+                    result = derivable(after, barendregt_rename(reduct, avoid=after.names()))
+                    if result.verdict is Verdict.INCONCLUSIVE:
+                        inconclusive.append((index, str(reduct), result.bound))
+                    elif not (result and all(is_safe_type(t) for _, t in after.items())):
+                        failures.append((index, str(reduct), str(after)))
             frontier = next_frontier
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < budget and reducts_checked >= 50
     detail = (
         f"{len(fixtures)} accepted fixtures, {reducts_checked} reducts within 3 steps, "
-        f"{len(failures)} without a safe retyping"
+        f"{len(failures)} not derivable under the safe context their step names"
     )
     if inconclusive:
         detail += f", {len(inconclusive)} inconclusive (bound reported)"

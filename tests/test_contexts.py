@@ -123,11 +123,6 @@ def test_update_entry_fills_void():
     assert update_entry(g, "x", E) == Context([("x", Single(E))])
 
 
-def test_update_entry_pair_side():
-    g = Context([("x", Pair(VOID, LIN_OUT))])
-    assert update_entry(g, "x", LIN_IN, side="left") == Context([("x", Pair(LIN_IN, LIN_OUT))])
-
-
 def test_update_entry_rejects_occupied_slot():
     g = Context([("x", Single(E))])
     with pytest.raises(ContextAlgebraError):

@@ -97,6 +97,17 @@ def test_communication_under_restriction_advances_annotation():
     assert reduct.annot == parse_type("<un end, un end>")
 
 
+def test_shadowed_restriction_advances_innermost_binder():
+    p = parse_process(
+        "new c: <lin !(un end).un end, lin ?(un end).un end>. "
+        "new c: <lin ?(un end).un end, lin !(un end).un end>. (c!v.0 | c?(u).0)"
+    )
+    ((chan, reduct),) = reduce_step_labeled(p)
+    assert chan == "c"
+    assert reduct.annot == p.annot
+    assert reduct.cont.annot == parse_type("<un end, un end>")
+
+
 def test_no_reduction_under_prefix_or_bare_replication():
     assert reduce_step(parse_process("a!b.(x!z.0 | x?(y).0)"), radius=0) == []
     # Replication needs one unfolding step, so radius 0 finds nothing.
