@@ -342,6 +342,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print(f"input is not UTF-8: {err}", file=sys.stderr)
+        return 2
     except RecursionError as err:
         # Renaming and checking recurse on the term's depth.
         print(f"input too deep: {err}", file=sys.stderr)

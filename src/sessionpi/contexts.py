@@ -205,50 +205,54 @@ def decl_to_context(i: DeclContext) -> Context:
 def is_safe_entry(e: Entry) -> bool:
     """Well-pairedness of an entry.
 
-    Single slots are always safe.  A pair is safe when one side is void or
-    ``un end``, or when the two sides offer matching receive/send behaviours
-    (payloads equal, and for linear pairs a safe continuation pair).  The
-    check is coinductive: a pair under inspection is assumed safe while its
-    continuations are examined.
+    Single slots are always safe, and so is a pair with a void side; any
+    other pair is safe when its channel type is (``is_safe_type``).
     """
-    return _safe_entry(e, frozenset())
-
-
-def _safe_entry(e: Entry, assumed: frozenset) -> bool:
-    if isinstance(e, Single):
+    if isinstance(e, Single) or isinstance(e.left, Void) or isinstance(e.right, Void):
         return True
-    key = (e.left, e.right)
-    if key in assumed:
-        return True
-    assumed = assumed | {key}
-    for side in key:
-        if isinstance(side, Void) or is_un_end(side):
-            return True
-    a, b = unfold(e.left), unfold(e.right)
-    for one, other in ((a, b), (b, a)):
-        match (one.pre, other.pre):
-            case (Recv(tp_in, cont_in), Send(tp_out, cont_out)):
-                if one.qual is not other.qual:
-                    continue
-                if not type_equal(tp_in, tp_out):
-                    continue
-                if not _safe_type(tp_in, assumed):
-                    continue
-                if one.qual is Qual.UN:
-                    return True
-                if _safe_entry(Pair(cont_in, cont_out), assumed):
-                    return True
-    return False
+    return is_safe_type(ChanType(e.left, e.right))
 
 
-def _safe_type(t: Type, assumed: frozenset) -> bool:
-    if isinstance(t, ChanType):
-        return _safe_entry(Pair(t.left, t.right), assumed)
-    return True
+# Safety of each interned channel type checked so far.
+_SAFE: dict[ChanType, bool] = {}
 
 
 def is_safe_type(t: Type) -> bool:
-    return _safe_type(t, frozenset())
+    """Well-pairedness of a type; endpoint types are always safe.
+
+    A channel type is safe when one side is ``un end``, or when the two
+    sides offer matching receive/send behaviours (payloads equal and safe,
+    and for linear sides a safe continuation pair).
+    """
+    if not isinstance(t, ChanType):
+        return True
+    safe = _SAFE.get(t)
+    if safe is None:
+        # Only answers of the outermost call are stored: a nested one may
+        # rest on pairs merely assumed safe.
+        safe = _SAFE[t] = _safe_chan(t, frozenset())
+    return safe
+
+
+def _safe_chan(t: ChanType, assumed: frozenset) -> bool:
+    """The coinductive check: a pair under inspection is assumed safe while
+    its payloads and continuations are examined."""
+    if t in assumed:
+        return True
+    assumed = assumed | {t}
+    if is_un_end(t.left) or is_un_end(t.right):
+        return True
+    a, b = unfold(t.left), unfold(t.right)
+    for one, other in ((a, b), (b, a)):
+        match (one.pre, other.pre):
+            case (Recv(tp_in, cont_in), Send(tp_out, cont_out)):
+                if one.qual is not other.qual or not type_equal(tp_in, tp_out):
+                    continue
+                if isinstance(tp_in, ChanType) and not _safe_chan(tp_in, assumed):
+                    continue
+                if one.qual is Qual.UN or _safe_chan(ChanType(cont_in, cont_out), assumed):
+                    return True
+    return False
 
 
 def is_safe_context(g: Context) -> bool:

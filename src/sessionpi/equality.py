@@ -7,6 +7,11 @@ both sides to a head constructor and compare, assuming equal any pair of
 types already under comparison.  Contractiveness (checked at parse time)
 bounds unfolding, and the set of distinct subterm pairs is finite, so the
 procedure terminates.
+
+Types are interned (``syntax``), so identical types are one object: equality
+first tests ``is``, and ``unfold`` and ``type_equal`` keep each answer in a
+table keyed by the interned nodes.  The tables only grow; they hold one
+entry per distinct type unfolded and per distinct pair compared.
 """
 
 from __future__ import annotations
@@ -58,22 +63,41 @@ def _subst_in_type(t: Type, name: str, replacement: Endpoint) -> Type:
     return subst_type(t, name, replacement)
 
 
+# Memos on interned nodes: a type's unfolding, and the verdict on a pair.
+_UNFOLDED: dict[Endpoint, Qualified] = {}
+_EQUAL: dict[tuple[Type, Type], bool] = {}
+
+
 def unfold(s: Endpoint) -> Qualified:
     """Unfold a closed endpoint type until the head is a qualified pre-type."""
-    while isinstance(s, Rec):
-        s = subst_type(s.body, s.var, s)
-    if not isinstance(s, Qualified):
-        raise ValueError(f"cannot unfold open type {s}")
-    return s
+    if isinstance(s, Qualified):
+        return s
+    head = _UNFOLDED.get(s)
+    if head is None:
+        head = s
+        while isinstance(head, Rec):
+            head = subst_type(head.body, head.var, head)
+        if not isinstance(head, Qualified):
+            raise ValueError(f"cannot unfold open type {s}")
+        _UNFOLDED[s] = head
+    return head
 
 
 def type_equal(t1: Type, t2: Type) -> bool:
     """Equality of infinite unfoldings, modulo pair commutation."""
-    return _type_eq(t1, t2, frozenset())
+    if t1 is t2:
+        return True
+    key = (t1, t2)
+    equal = _EQUAL.get(key)
+    if equal is None:
+        # Only answers of the outermost call are stored: a nested one may
+        # rest on pairs merely assumed equal.
+        equal = _EQUAL[key] = _type_eq(t1, t2, frozenset())
+    return equal
 
 
 def endpoint_equal(s1: Endpoint, s2: Endpoint) -> bool:
-    return _ep_eq(s1, s2, frozenset())
+    return type_equal(s1, s2)
 
 
 def _type_eq(t1: Type, t2: Type, assumed: frozenset) -> bool:
@@ -88,7 +112,7 @@ def _type_eq(t1: Type, t2: Type, assumed: frozenset) -> bool:
 
 def _ep_eq(s1: Endpoint, s2: Endpoint, assumed: frozenset) -> bool:
     key = (s1, s2)
-    if key in assumed:
+    if s1 is s2 or key in assumed:
         return True
     a, b = unfold(s1), unfold(s2)
     if a.qual is not b.qual:

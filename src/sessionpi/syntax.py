@@ -9,7 +9,10 @@ Processes are the synchronous unary pi calculus: output ``x!y.P``, input
 ``x?(y).P``, parallel composition, annotated restriction ``new x: T. P``,
 replication ``!P`` and inaction ``0``.
 
-All nodes are immutable; every operation here is a pure function.
+All nodes are immutable; every operation here is a pure function.  Type
+nodes are interned (hash-consed): structurally equal types are one object,
+so ``==`` on types is ``is`` and hashing one takes constant time.  Equality
+of infinite unfoldings is ``equality.type_equal``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,46 @@ class Qual(enum.Enum):
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Recv:
+# Every type node ever built, keyed by its class and fields.
+_NODES: dict[tuple, "_Interned"] = {}
+
+
+class _Interned:
+    """Base of the type nodes: they are hash-consed.
+
+    Construction looks the node up by ``(class, fields)``.  The fields are
+    interned already, so the key hashes in constant time, and a structurally
+    equal node built earlier is returned instead of a new one.  Equality is
+    therefore identity, and ``hash`` is identity-based (neither recurses, so
+    types of any depth can be set members and dict keys).  Copying and
+    pickling go back through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            # A node is published only once complete, and only the first
+            # one published for a key is ever returned.
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
+# leaves construction to ``_Interned.__new__``.
+_type_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
+@_type_node
+class Recv(_Interned):
     """Pre-type ``?(T).S``: receive a name of type ``payload``, go on as ``cont``."""
 
     payload: "Type"
@@ -42,8 +83,8 @@ class Recv:
         return f"?({self.payload}).{self.cont}"
 
 
-@dataclass(frozen=True)
-class Send:
+@_type_node
+class Send(_Interned):
     """Pre-type ``!(T).S``: send a name of type ``payload``, go on as ``cont``."""
 
     payload: "Type"
@@ -53,8 +94,8 @@ class Send:
         return f"!({self.payload}).{self.cont}"
 
 
-@dataclass(frozen=True)
-class End:
+@_type_node
+class End(_Interned):
     """Pre-type ``end``: no further interaction on this endpoint."""
 
     def __str__(self) -> str:
@@ -64,8 +105,8 @@ class End:
 PreType = Union[Recv, Send, End]
 
 
-@dataclass(frozen=True)
-class Qualified:
+@_type_node
+class Qualified(_Interned):
     """Endpoint type ``q p``: a pre-type under a lin/un qualifier."""
 
     qual: Qual
@@ -75,16 +116,16 @@ class Qualified:
         return f"{self.qual} {self.pre}"
 
 
-@dataclass(frozen=True)
-class TypeVar:
+@_type_node
+class TypeVar(_Interned):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Rec:
+@_type_node
+class Rec(_Interned):
     """Recursive endpoint type ``rec a. S``; must be contractive."""
 
     var: str
@@ -97,8 +138,8 @@ class Rec:
 Endpoint = Union[Qualified, TypeVar, Rec]
 
 
-@dataclass(frozen=True)
-class ChanType:
+@_type_node
+class ChanType(_Interned):
     """Channel pair type ``<S1, S2>``: the two ends of one channel."""
 
     left: Endpoint

@@ -1,0 +1,55 @@
+"""The benchmark's verdicts stay those of its reference table.
+
+One pass of seed 401 of two workloads in ``perfbench/workloads.py`` must
+give the verdict digest and accepted count that ``perfbench/NOTES.md``
+lists for the seed commit.  A change that alters any verdict, residual or
+oracle node count in those passes fails here, inside the test suite.
+``large_inputs`` is left out: its longest traced items sit near the
+recursion limit, and the test runner's own frames could change which of
+them pass.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import sessionpi
+import sessionpi.cli  # noqa: F401  (the workloads reach both submodules)
+import sessionpi.gen  # noqa: F401
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# Seed 401 rows of the table in perfbench/NOTES.md: digest prefix, accepted.
+EXPECTED = {
+    "differential_sweep": ("2900e24711e8889f", 186),
+    "oracle_search": ("8cbee30f68bc8714", 16),
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # The workloads import their sibling modules by bare name, and their
+    # dataclasses need the module registered while it runs.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_seed_401_verdict_digest_matches_the_table(workloads, name):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.build(sessionpi, 401, ROOT)
+    record = workloads.Pass(workload.over_limit)
+    workload.run(sessionpi, inputs, record)
+    assert record.wrong == []
+    assert (record.digest[:16], record.accepted) == EXPECTED[name]

@@ -91,6 +91,28 @@ def test_too_deep_input_is_usage_error_without_traceback(tmp_path, command):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [("check", "process"), ("check", "ctx"), ("oracle", "ctx"), ("reduce", "process")],
+)
+def test_non_utf8_input_is_usage_error_without_traceback(tmp_path, command, bad):
+    proc = tmp_path / "p.pi"
+    ctx = tmp_path / "c.ctx"
+    proc.write_text("x!v.0\n")
+    ctx.write_text("x : un !(un end).un end\nv : un end\n")
+    (proc if bad == "process" else ctx).write_bytes(b"\xff\xfe")
+    argv = [command, str(proc)] + (["--ctx", str(ctx)] if command != "reduce" else [])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "sessionpi.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "not UTF-8" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_check_trace_and_audit_flags(capsys):
     code, out, _ = run_cli(capsys, "check", *fixture_args("poll"), "--trace", "--audit")
     assert code == 0
