@@ -40,7 +40,7 @@ from .contexts import (
     used_map,
 )
 from .declarative import OracleResult, Split, Verdict, derivable, derivable_value, enumerate_splits
-from .equality import dual, endpoint_equal, type_equal, unfold
+from .equality import dual, type_equal, unfold
 from .parser import ParseError, parse_context, parse_entry, parse_process, parse_type
 from .semantics import (
     RewriteStep,

@@ -11,7 +11,8 @@ Dispatch takes the first rule whose guard holds and stops evaluating
 guards there.  With auditing on it evaluates every guard instead and
 records how many rules matched at each call, which on a safe context is
 at most one.  Location and trace strings are built only when an audit
-record, a trace step or an error keeps them.
+record or a trace step keeps them, and an error's texts only when they
+are read.
 
 Rule names carried in traces:
 
@@ -80,13 +81,35 @@ class ErrorKind(enum.Enum):
 
 
 class CheckError(Exception):
-    """Structured rejection raised while checking; surfaced in CheckResult."""
+    """Structured rejection raised while checking; surfaced in CheckResult.
 
-    def __init__(self, kind: ErrorKind, location: str, detail: str):
-        super().__init__(f"{kind.value} at {location}: {detail}")
+    ``location`` and ``detail`` may be given as functions that build the
+    text; each is called on first read, so a caller that reads only
+    ``kind`` never formats a process or a type.
+    """
+
+    def __init__(
+        self, kind: ErrorKind, location: str | Callable[[], str], detail: str | Callable[[], str]
+    ):
+        super().__init__()
         self.kind = kind
-        self.location = location
-        self.detail = detail
+        self._location = location
+        self._detail = detail
+
+    @property
+    def location(self) -> str:
+        if not isinstance(self._location, str):
+            self._location = self._location()
+        return self._location
+
+    @property
+    def detail(self) -> str:
+        if not isinstance(self._detail, str):
+            self._detail = self._detail()
+        return self._detail
+
+    def __str__(self) -> str:
+        return f"{self.kind.value} at {self.location}: {self.detail}"
 
 
 class AuditViolation(Exception):
@@ -128,11 +151,21 @@ def _loc(p: Process) -> str:
     return text
 
 
+def _no_pattern(g: Context, p: Process) -> str:
+    """Why no process rule applies to ``p`` under ``g``."""
+    if not isinstance(p, (Output, Input)):
+        return "no pattern applies"
+    entry = g.get(p.chan)
+    if entry is None:
+        return f"{p.chan} is not in the context"
+    return f"no pattern for {type(p).__name__.lower()} on {p.chan} with entry {entry}"
+
+
 def _bind(g: Context, p: Process, binder: str, entry: Entry) -> Context:
     """``g`` with ``binder : entry`` added; the binder may not shadow an entry."""
     if binder in g:
         raise CheckError(
-            ErrorKind.PARTIAL_ALGEBRA, _loc(p), f"binder {binder} shadows a context entry"
+            ErrorKind.PARTIAL_ALGEBRA, lambda: _loc(p), f"binder {binder} shadows a context entry"
         )
     return g.add(binder, entry)
 
@@ -145,8 +178,8 @@ def _require_un(g: Context, p: Process, names: tuple[str, ...], where: str):
         if not is_un_entry(residue):
             raise CheckError(
                 ErrorKind.LINEAR_RESIDUAL,
-                _loc(p),
-                f"linear usage of {name} not finished {where} (residue {residue})",
+                lambda: _loc(p),
+                lambda: f"linear usage of {name} not finished {where} (residue {residue})",
             )
 
 
@@ -235,12 +268,15 @@ class _Checker:
         found = self._first(self._var_matches(g, x, t), lambda: f"{x} : {t}")
         if found is None:
             entry = g.get(x)
-            detail = (
-                f"{x} is not in the context"
-                if entry is None
-                else f"cannot use {x} (entry {entry}) at type {t}"
+            raise CheckError(
+                ErrorKind.NO_PATTERN,
+                lambda: f"{x} : {t}",
+                lambda: (
+                    f"{x} is not in the context"
+                    if entry is None
+                    else f"cannot use {x} (entry {entry}) at type {t}"
+                ),
             )
-            raise CheckError(ErrorKind.NO_PATTERN, f"{x} : {t}", detail)
         rule, out = found
         if self.trace is not None:
             self.trace.append(TraceStep(rule, g, f"{x} : {t}", out))
@@ -288,15 +324,7 @@ class _Checker:
     def check(self, g: Context, p: Process) -> Context:
         found = self._first(self._process_matches(g, p), lambda: _loc(p))
         if found is None:
-            detail = "no pattern applies"
-            if isinstance(p, (Output, Input)):
-                entry = g.get(p.chan)
-                detail = (
-                    f"{p.chan} is not in the context"
-                    if entry is None
-                    else f"no pattern for {type(p).__name__.lower()} on {p.chan} with entry {entry}"
-                )
-            raise CheckError(ErrorKind.NO_PATTERN, _loc(p), detail)
+            raise CheckError(ErrorKind.NO_PATTERN, lambda: _loc(p), lambda: _no_pattern(g, p))
         # The rule body is called from here, not through a helper, so that
         # each prefix costs two frames on the recursion path.
         rule, body, extra = found
@@ -370,7 +398,9 @@ class _Checker:
     def _rule_res(self, g: Context, p: New) -> Context:
         if not is_safe_type(p.annot):
             raise CheckError(
-                ErrorKind.UNSAFE_ANNOTATION, _loc(p), f"annotation {p.annot} is not safe"
+                ErrorKind.UNSAFE_ANNOTATION,
+                lambda: _loc(p),
+                lambda: f"annotation {p.annot} is not safe",
             )
         g2 = self.check(_bind(g, p, p.binder, entry_of_type(p.annot)), p.cont)
         _require_un(g2, p, (p.binder,), "in its scope")
@@ -387,7 +417,7 @@ class _Checker:
         if not context_equal(g2, g):
             raise CheckError(
                 ErrorKind.LINEAR_RESIDUAL,
-                _loc(p),
+                lambda: _loc(p),
                 "a linear resource was consumed under replication",
             )
         return g2
@@ -427,7 +457,7 @@ def type_check(
     except CheckError as err:
         return CheckResult(False, None, err, _completed(run), run.audits, q)
     except ContextAlgebraError as err:
-        wrapped = CheckError(ErrorKind.PARTIAL_ALGEBRA, str(q), str(err))
+        wrapped = CheckError(ErrorKind.PARTIAL_ALGEBRA, lambda: str(q), str(err))
         return CheckResult(False, None, wrapped, _completed(run), run.audits, q)
     if not is_un_context(out):
         offending = [name for name, e in out.items() if not is_un_entry(e)]

@@ -96,10 +96,6 @@ def type_equal(t1: Type, t2: Type) -> bool:
     return equal
 
 
-def endpoint_equal(s1: Endpoint, s2: Endpoint) -> bool:
-    return type_equal(s1, s2)
-
-
 def _type_eq(t1: Type, t2: Type, assumed: frozenset) -> bool:
     if isinstance(t1, ChanType) and isinstance(t2, ChanType):
         return (_ep_eq(t1.left, t2.left, assumed) and _ep_eq(t1.right, t2.right, assumed)) or (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class Qual(enum.Enum):
@@ -113,7 +113,7 @@ class Qualified(_Interned):
     pre: PreType
 
     def __str__(self) -> str:
-        return f"{self.qual} {self.pre}"
+        return f"{self.qual.value} {self.pre}"
 
 
 @_type_node
@@ -245,39 +245,64 @@ def _factor(p: Process) -> str:
 # Binding
 # ---------------------------------------------------------------------------
 
+class _Scan(NamedTuple):
+    free: set[str]  # names with a free occurrence
+    binders: set[str]
+    repeated: bool  # some name is bound twice
+
+    @property
+    def names(self) -> set[str]:
+        """Every name of the term: an occurrence is free or of a binder."""
+        return self.free | self.binders
+
+
+def _scan(p: Process) -> _Scan:
+    """Free names and binders of ``p`` in one pass.
+
+    The walk uses an explicit stack, so depth costs no recursion.  A binder
+    is pushed as a string below its scope, and popping it closes the scope;
+    ``bound`` counts the open scopes of each name, so shadowing is handled
+    without copying a bound set per binder.
+    """
+    free: set[str] = set()
+    binders: set[str] = set()
+    repeated = False
+    bound: dict[str, int] = {}
+    stack: list = [p]
+    push = stack.append
+    while stack:
+        q = stack.pop()
+        cls = type(q)
+        if cls is Output:
+            if not bound.get(q.chan):
+                free.add(q.chan)
+            if not bound.get(q.arg):
+                free.add(q.arg)
+            push(q.cont)
+        elif cls is Input or cls is New:
+            if cls is Input and not bound.get(q.chan):
+                free.add(q.chan)
+            binder = q.binder
+            if binder in binders:
+                repeated = True
+            binders.add(binder)
+            bound[binder] = bound.get(binder, 0) + 1
+            push(binder)
+            push(q.cont)
+        elif cls is str:
+            bound[q] -= 1
+        elif cls is Par:
+            push(q.right)
+            push(q.left)
+        elif cls is Repl:
+            push(q.body)
+        elif cls is not Zero:
+            raise TypeError(f"not a process: {q!r}")
+    return _Scan(free, binders, repeated)
+
+
 def free_vars(p: Process) -> frozenset[str]:
-    match p:
-        case Zero():
-            return frozenset()
-        case Par(left, right):
-            return free_vars(left) | free_vars(right)
-        case Repl(body):
-            return free_vars(body)
-        case Output(chan, arg, cont):
-            return frozenset((chan, arg)) | free_vars(cont)
-        case Input(chan, binder, cont):
-            return frozenset((chan,)) | (free_vars(cont) - {binder})
-        case New(binder, _, cont):
-            return free_vars(cont) - {binder}
-    raise TypeError(f"not a process: {p!r}")
-
-
-def all_names(p: Process) -> frozenset[str]:
-    """Every variable occurring in ``p``, free or bound."""
-    match p:
-        case Zero():
-            return frozenset()
-        case Par(left, right):
-            return all_names(left) | all_names(right)
-        case Repl(body):
-            return all_names(body)
-        case Output(chan, arg, cont):
-            return frozenset((chan, arg)) | all_names(cont)
-        case Input(chan, binder, cont):
-            return frozenset((chan, binder)) | all_names(cont)
-        case New(binder, _, cont):
-            return frozenset((binder,)) | all_names(cont)
-    raise TypeError(f"not a process: {p!r}")
+    return frozenset(_scan(p).free)
 
 
 class CaptureError(Exception):
@@ -329,11 +354,17 @@ def substitute(p: Process, replacement: str, target: str) -> Process:
 def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()) -> Process:
     """Alpha-rename so all binders are distinct from each other and from free names.
 
-    Fresh names are the original name with a numeric suffix; counters never
-    reuse a name, so the scheme is deterministic and idempotent.
+    A term whose binders already are distinct, and distinct from its free
+    names and from ``avoid``, is returned itself.  Otherwise fresh names are
+    the original name with a numeric suffix; counters never reuse a name, so
+    the scheme is deterministic and idempotent.
     """
-    used = set(free_vars(p)) | set(avoid)
-    present = set(all_names(p)) | set(avoid)
+    scan = _scan(p)
+    binders = scan.binders
+    if not scan.repeated and binders.isdisjoint(scan.free) and binders.isdisjoint(avoid):
+        return p
+    used = scan.free | set(avoid)
+    present = scan.names | set(avoid)
     counters: dict[str, int] = {}
 
     def fresh(base: str) -> str:

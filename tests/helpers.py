@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sessionpi import ChanType, Type, type_check
+from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, type_check
 from sessionpi.contexts import DeclContext
 from sessionpi.equality import unfold
 from sessionpi.semantics import advance_type
@@ -67,3 +67,68 @@ def retyped(i: DeclContext, chan: str) -> DeclContext:
 
 def accepted(ctx, p) -> bool:
     return type_check(ctx, p, trace=False).accepted
+
+
+# ---------------------------------------------------------------------------
+# Reference renamer: three recursive walks, renaming every term
+# ---------------------------------------------------------------------------
+
+def _names(p, free: bool) -> frozenset:
+    """Free names of ``p``, or all its names when ``free`` is false."""
+    match p:
+        case Zero():
+            return frozenset()
+        case Par(left, right):
+            return _names(left, free) | _names(right, free)
+        case Repl(body):
+            return _names(body, free)
+        case Output(chan, arg, cont):
+            return frozenset((chan, arg)) | _names(cont, free)
+        case Input(chan, binder, cont):
+            if free:
+                return frozenset((chan,)) | (_names(cont, free) - {binder})
+            return frozenset((chan, binder)) | _names(cont, free)
+        case New(binder, _, cont):
+            if free:
+                return _names(cont, free) - {binder}
+            return frozenset((binder,)) | _names(cont, free)
+
+
+def reference_rename(p, avoid=frozenset()):
+    """``barendregt_rename`` as it was before clash-free terms were returned
+    unchanged: it rebuilds every term, walking it three times."""
+    used = set(_names(p, True)) | set(avoid)
+    present = set(_names(p, False)) | set(avoid)
+    counters: dict[str, int] = {}
+
+    def bind(binder: str) -> str:
+        name = binder
+        if binder in used:
+            n = counters.get(binder, 0)
+            while True:
+                n += 1
+                name = f"{binder}{n}"
+                if name not in used and name not in present:
+                    counters[binder] = n
+                    break
+        used.add(name)
+        return name
+
+    def rename(q, env: dict):
+        match q:
+            case Zero():
+                return q
+            case Par(left, right):
+                return Par(rename(left, env), rename(right, env), pos=q.pos)
+            case Repl(body):
+                return Repl(rename(body, env), pos=q.pos)
+            case Output(chan, arg, cont):
+                return Output(env.get(chan, chan), env.get(arg, arg), rename(cont, env), pos=q.pos)
+            case Input(chan, binder, cont):
+                fresh = bind(binder)
+                return Input(env.get(chan, chan), fresh, rename(cont, {**env, binder: fresh}), pos=q.pos)
+            case New(binder, annot, cont):
+                fresh = bind(binder)
+                return New(fresh, annot, rename(cont, {**env, binder: fresh}), pos=q.pos)
+
+    return rename(p, {})

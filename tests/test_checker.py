@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ from sessionpi.gen import (
     un_server,
 )
 from tests.conftest import fixture_names, load_fixture
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
 
 LIN_IN = parse_type("lin ?(un end).un end")
 LIN_OUT = parse_type("lin !(un end).un end")
@@ -267,20 +271,39 @@ def test_trace_serializes_renamed_process():
 
 
 def test_accepting_run_builds_no_location_strings(monkeypatch):
-    # With the trace and the audit off, an accepting run keeps no location
-    # string, so it must not build one.
+    # With the trace and the audit off, a run keeps no location string, so
+    # it must not build one: an accepting run never needs one, and a
+    # rejecting run builds its error's texts only when they are read.
     import sessionpi.checker
 
-    def refuse(p):
-        raise AssertionError(f"location string built for {p!r}")
-
-    monkeypatch.setattr(sessionpi.checker, "_loc", refuse)
-    accepting = 0
+    calls = []
+    monkeypatch.setattr(sessionpi.checker, "_loc", lambda p: calls.append(p))
+    accepting, errors = 0, {}
     for name in fixture_names():
         g, p, expected = load_fixture(name)
-        if expected["check"] == "accepted":
-            assert type_check(g, p, trace=False).accepted, name
+        result = type_check(g, p, trace=False)
+        assert result.accepted == (expected["check"] == "accepted"), name
+        if result.accepted:
             accepting += 1
-    assert accepting >= 4
+        else:
+            errors[name] = result.error
+    assert accepting >= 4 and len(errors) >= 3
     g, p = poll_system(3)
     assert type_check(g, p, trace=False).accepted
+    rng = random.Random(29)
+    rejected = 0
+    for _ in range(300):
+        ctx = gen_safe_context(rng, ["x", "y"])
+        rejected += not type_check(ctx, gen_process(rng, ["x", "y"], size=6), trace=False).accepted
+    assert rejected > 100
+    assert calls == []
+
+    # Read later, the texts are the ones the CLI printed before errors were
+    # formatted on demand.
+    monkeypatch.undo()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name, err in errors.items():
+        want = golden[name]["report"]["error"]
+        assert err.kind.value == want["kind"], name
+        assert (err.location, err.detail) == (want["location"], want["detail"]), name
+        assert str(err) == f"{want['kind']} at {want['location']}: {want['detail']}", name

@@ -10,7 +10,6 @@ from sessionpi import (
     TypeVar,
     UN_END,
     dual,
-    endpoint_equal,
     parse_type,
     type_equal,
     unfold,
@@ -82,7 +81,7 @@ def test_unfolding_preserves_equality():
     rng = random.Random(6)
     for _ in range(100):
         s = gen_endpoint(rng)
-        assert endpoint_equal(s, unfold(s))
+        assert type_equal(s, unfold(s))
 
 
 def test_matches_bounded_expansion_oracle():
@@ -108,14 +107,14 @@ def test_dual_is_an_involution():
     rng = random.Random(8)
     for _ in range(100):
         s = gen_endpoint(rng)
-        assert endpoint_equal(dual(dual(s)), s)
+        assert type_equal(dual(dual(s)), s)
 
 
 def test_dual_relates_the_two_poll_endpoints():
     recv_side = parse_type(POLL_RECV)
     send_side = parse_type(POLL_SEND)
-    assert endpoint_equal(dual(recv_side), send_side)
-    assert endpoint_equal(dual(send_side), recv_side)
+    assert type_equal(dual(recv_side), send_side)
+    assert type_equal(dual(send_side), recv_side)
 
 
 def test_dual_keeps_payloads():

@@ -26,7 +26,8 @@ from sessionpi import (
     substitute,
 )
 from sessionpi.gen import gen_process, gen_safe_context, poll_client_text, poll_service_text
-from sessionpi.syntax import all_names
+from sessionpi.syntax import _scan
+from tests.helpers import reference_rename
 
 
 def test_parse_zero():
@@ -174,6 +175,63 @@ def test_barendregt_avoids_given_names():
     assert renamed == parse_process("x?(y1).0")
 
 
+def test_barendregt_clash_free_term_is_returned_itself():
+    p = parse_process("x?(y).y!z.0 | new w: un end. (w!x.0 | x?(v).0)")
+    assert barendregt_rename(p) is p
+    assert barendregt_rename(p, avoid={"a", "x"}) is p
+
+
+@pytest.mark.parametrize(
+    "text, avoid, renamed",
+    [
+        # A binder bound twice, in two threads and on one path.
+        ("x?(y).0 | new y: un end. y!x.0", set(), "x?(y).0 | new y1: un end. y1!x.0"),
+        ("x?(y).x?(y).y!y.0", set(), "x?(y).x?(y1).y1!y1.0"),
+        # A binder in ``avoid``.
+        ("new y: un end. x!y.0", {"y", "y1"}, "new y2: un end. x!y2.0"),
+        # A binder equal to a free name of another thread.
+        ("x?(y).y!x.0 | y!x.0", set(), "x?(y1).y1!x.0 | y!x.0"),
+    ],
+)
+def test_barendregt_clash_shapes_renamed_as_before(text, avoid, renamed):
+    p = parse_process(text)
+    assert barendregt_rename(p, avoid=avoid) is not p
+    assert barendregt_rename(p, avoid=avoid) == reference_rename(p, avoid) == parse_process(renamed)
+
+
+def test_barendregt_agrees_with_reference_on_random_terms():
+    # Generated terms have distinct binders; a term next to itself repeats
+    # every binder it has.
+    rng = random.Random(17)
+    kept = renamed_count = 0
+    for i in range(1000):
+        names = ["x", "y", "z"][: 1 + i % 3]
+        ctx = gen_safe_context(rng, names)
+        p = gen_process(rng, names, size=4 + i % 9)
+        for term in (p, Par(p, p)):
+            for avoid in (frozenset(), ctx.names()):
+                renamed = barendregt_rename(term, avoid=avoid)
+                expected = reference_rename(term, avoid)
+                assert renamed == expected and str(renamed) == str(expected)
+                if renamed is term:
+                    kept += 1
+                else:
+                    renamed_count += 1
+    # Both the clash-free path and the renaming path are exercised.
+    assert kept > 1000 and renamed_count > 1000
+
+
+def test_scan_handles_a_deep_clash_free_chain():
+    # Built directly: the parser refuses input this deep.
+    p = Zero()
+    for i in range(10_000):
+        p = Input("x", f"y{i}", Output(f"y{i}", "v", p))
+    assert barendregt_rename(p) is p
+    assert barendregt_rename(p, avoid={"x", "v"}) is p
+    assert free_vars(p) == {"x", "v"}
+    assert _scan(p).names == {"x", "v"} | {f"y{i}" for i in range(10_000)}
+
+
 def test_barendregt_invariants_and_idempotence():
     rng = random.Random(11)
     for _ in range(100):
@@ -208,7 +266,7 @@ def test_substitute_free_variable_law():
     rng = random.Random(13)
     for _ in range(50):
         p = barendregt_rename(gen_process(rng, ["x", "y"], size=8))
-        if "x" not in free_vars(p) or "z" in all_names(p):
+        if "x" not in free_vars(p) or "z" in _scan(p).names:
             continue
         q = substitute(p, "z", "x")
         assert free_vars(q) == (free_vars(p) - {"x"}) | {"z"}
