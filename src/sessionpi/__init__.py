@@ -46,7 +46,6 @@ from .semantics import (
     RewriteStep,
     congruence_steps,
     reduce_step,
-    reduce_trace,
 )
 from .syntax import (
     ChanType,

@@ -5,9 +5,13 @@ parallel composition instead of threading it: unrestricted entries are
 copied to both sides, linear entries go to exactly one side, and a pair of
 linear ends may be divided between the two sides.  Splits are duplicate-free
 by construction: each entry's options are pairwise distinct, so no two of
-their combinations coincide.  Derivability is decided by a memoized
-backtracking search over rule choices and splits, bounded by a node budget;
-exceeding the budget yields INCONCLUSIVE rather than a verdict.
+their combinations coincide.  They are also relevance-directed, as in
+linear-logic proof search (Hodas & Miller, Inf. & Comp. 110(2), 1994;
+Cervesato, Hodas & Pfenning, TCS 232, 2000): a linear entry goes only to a
+side whose process has its name free, since no other side could consume it.
+Derivability is decided by a memoized backtracking search over rule choices
+and splits, bounded by a node budget; exceeding the budget yields
+INCONCLUSIVE rather than a verdict.
 
 This module exists to cross-check the deterministic checker: everything the
 checker accepts must be derivable here, while the converse fails on known
@@ -17,11 +21,12 @@ self-deadlocking shapes.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
-from .contexts import DeclContext, is_safe_type, is_un_decl_context
+from .contexts import DeclContext, is_safe_type, is_un_decl_context, is_un_type
 from .equality import head_qual, io_head, type_equal
 from .syntax import (
     ChanType,
@@ -37,6 +42,7 @@ from .syntax import (
     Send,
     Type,
     Zero,
+    free_vars,
     is_endpoint,
 )
 
@@ -68,7 +74,19 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _entry_options(t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
+@functools.cache
+def _entry_options(
+    t: Type, left_uses: bool, right_uses: bool
+) -> tuple[tuple[Optional[Type], Optional[Type]], ...]:
+    """``_divisions(t)`` less the options that give a linear type to a side
+    that does not use the name; cached, since interned types hash in O(1)."""
+    return tuple(
+        (l, r) for l, r in _divisions(t)
+        if (left_uses or l is None or is_un_type(l)) and (right_uses or r is None or is_un_type(r))
+    )
+
+
+def _divisions(t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
     """Ways one entry may be divided, pairwise distinct; ``None`` means absent
     from that side."""
     if is_endpoint(t):
@@ -90,12 +108,19 @@ def _entry_options(t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
     return [(t, un_side), (un_side, t)]
 
 
-def enumerate_splits(i: DeclContext) -> Iterator[Split]:
-    """All divisions of ``i`` licensed by the splitting rules.  Entries are
-    divided independently and each one's options are distinct, so no split
-    repeats and none needs filtering."""
+def enumerate_splits(
+    i: DeclContext,
+    left_names: Optional[AbstractSet[str]] = None,
+    right_names: Optional[AbstractSet[str]] = None,
+) -> Iterator[Split]:
+    """Divisions of ``i`` licensed by the splitting rules that give a side
+    linear entries only for names it uses (``None``: every name, which is the
+    exhaustive reference).  Entries are divided independently and each one's
+    options are distinct, so no split repeats and none needs filtering."""
     names = sorted(i.names())
-    options = [_entry_options(i.get(name)) for name in names]
+    left_names = i.names() if left_names is None else left_names
+    right_names = i.names() if right_names is None else right_names
+    options = [_entry_options(i.get(n), n in left_names, n in right_names) for n in names]
     for combo in itertools.product(*options):
         left = [(n, t) for n, (t, _) in zip(names, combo) if t is not None]
         right = [(n, t) for n, (_, t) in zip(names, combo) if t is not None]
@@ -132,13 +157,21 @@ def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
 
 
 class _Search:
-    """One search: the node budget still ``left`` and the memo of decided
-    (context, process) goals.  Recursive calls sit in plain loops, not in
-    ``any(...)``, so that each process level costs two frames."""
+    """One search: the node budget still ``left``, the memo of decided goals
+    and the free names of subterms.  Recursive calls sit in plain loops, not
+    in ``any(...)``, so that each process level costs two frames."""
 
     def __init__(self, bound: int):
         self.left = bound
         self.memo: dict[tuple, bool] = {}
+        self.free: dict[int, tuple[Process, frozenset[str]]] = {}
+
+    def free_names(self, p: Process) -> frozenset[str]:
+        """``free_vars(p)`` once per subterm; keeping ``p`` keeps its ``id`` unique."""
+        entry = self.free.get(id(p))
+        if entry is None:
+            entry = self.free[id(p)] = (p, free_vars(p))
+        return entry[1]
 
     def derivable(self, i: DeclContext, p: Process) -> bool:
         """Probe the memo once; a goal not decided yet costs one node."""
@@ -158,7 +191,7 @@ class _Search:
             case Repl(body):
                 return is_un_decl_context(i) and self.derivable(i, body)
             case Par(left, right):
-                for split in enumerate_splits(i):
+                for split in enumerate_splits(i, self.free_names(left), self.free_names(right)):
                     if self.derivable(split.left, left) and self.derivable(split.right, right):
                         return True
                 return False
@@ -175,7 +208,7 @@ class _Search:
                         return True
                 return False
             case Output(chan, arg, body):
-                for split in enumerate_splits(i):
+                for split in enumerate_splits(i, {arg}, self.free_names(body) | {chan}):
                     t = split.right.get(chan)
                     if t is None:
                         continue

@@ -323,7 +323,3 @@ def reduce_trace_labeled(p: Process, max_steps: int, radius: int = 3) -> list[tu
         steps.append((chan, current))
     return steps
 
-
-def reduce_trace(p: Process, max_steps: int, radius: int = 3) -> list[Process]:
-    """``p`` followed by the reducts of ``reduce_trace_labeled``."""
-    return [p] + [reduct for _, reduct in reduce_trace_labeled(p, max_steps, radius)]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, type_check
+from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, type_check
 from sessionpi.contexts import DeclContext
 from sessionpi.equality import unfold
 from sessionpi.semantics import advance_type
@@ -67,6 +67,13 @@ def retyped(i: DeclContext, chan: str) -> DeclContext:
 
 def accepted(ctx, p) -> bool:
     return type_check(ctx, p, trace=False).accepted
+
+
+def use_exhaustive_splits(monkeypatch) -> None:
+    """Make the oracle enumerate every split the splitting rules license,
+    ignoring which names each side uses: the reference search."""
+    original = declarative.enumerate_splits
+    monkeypatch.setattr(declarative, "enumerate_splits", lambda i, *names: original(i))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ One pass of seed 401 of two workloads in ``perfbench/workloads.py`` must
 give the verdict digest and accepted count that ``perfbench/NOTES.md``
 lists for the seed commit.  A change that alters any verdict, residual or
 oracle node count in those passes fails here, inside the test suite.
+The ``oracle_search`` digest records the oracle's node counts, which
+relevance-directed splits lowered: the table's digest is asserted with the
+exhaustive split enumerator patched in, and the pruned search's own digest
+is pinned next to it.
 ``large_inputs`` is left out: its longest traced items sit near the
 recursion limit, and the test runner's own frames could change which of
 them pass.
@@ -18,15 +22,20 @@ import pytest
 import sessionpi
 import sessionpi.cli  # noqa: F401  (the workloads reach both submodules)
 import sessionpi.gen  # noqa: F401
+from tests.helpers import use_exhaustive_splits
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-# Seed 401 rows of the table in perfbench/NOTES.md: digest prefix, accepted.
+# Seed 401: digest prefix and accepted count.  differential_sweep is its row
+# of the table in perfbench/NOTES.md; oracle_search is the pruned search's.
 EXPECTED = {
     "differential_sweep": ("2900e24711e8889f", 186),
-    "oracle_search": ("8cbee30f68bc8714", 16),
+    "oracle_search": ("3aca19a23bb772cb", 16),
 }
+
+# The table's oracle_search row, reproduced by the exhaustive split search.
+REFERENCE = {"oracle_search": ("8cbee30f68bc8714", 16)}
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +54,21 @@ def workloads():
     del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_seed_401_verdict_digest_matches_the_table(workloads, name):
+def _seed_401_pass(workloads, name):
     workload = workloads.WORKLOADS[name]
     inputs = workload.build(sessionpi, 401, ROOT)
     record = workloads.Pass(workload.over_limit)
     workload.run(sessionpi, inputs, record)
     assert record.wrong == []
-    assert (record.digest[:16], record.accepted) == EXPECTED[name]
+    return record.digest[:16], record.accepted
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_seed_401_verdict_digest_matches_the_table(workloads, name):
+    assert _seed_401_pass(workloads, name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_seed_401_digest_with_exhaustive_splits_matches_the_table(workloads, name, monkeypatch):
+    use_exhaustive_splits(monkeypatch)
+    assert _seed_401_pass(workloads, name) == REFERENCE[name]

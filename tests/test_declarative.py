@@ -1,13 +1,17 @@
+import itertools
 import random
 
 from sessionpi import (
     ChanType,
+    Context,
+    ContextAlgebraError,
     barendregt_rename,
+    entry_of_type,
     parse_process,
     parse_type,
     type_check,
 )
-from sessionpi.contexts import DeclContext, to_decl_context
+from sessionpi.contexts import DeclContext, is_un_type, to_decl_context
 from sessionpi.declarative import (
     Verdict,
     derivable,
@@ -15,9 +19,11 @@ from sessionpi.declarative import (
     enumerate_splits,
 )
 from sessionpi.equality import head_qual
-from sessionpi.gen import gen_process, lin_pingpong, poll_system, un_server
+from sessionpi.gen import gen_process, gen_safe_context, lin_pingpong, poll_system, un_server
 from sessionpi.syntax import Qual, is_endpoint
 from tests.conftest import load_fixture
+from tests.helpers import use_exhaustive_splits
+from tests.test_acceptance import U6, _exhaustive_procs
 
 E = parse_type("un end")
 LIN_IN = parse_type("lin ?(un end).un end")
@@ -204,14 +210,97 @@ def test_split_equal_sided_pair_three_ways():
     assert all(_recombines(s) for s in splits)
 
 
-def test_poll_search_spends_pinned_node_counts():
-    # The search order is part of the contract: the same goals are decided
-    # in the same order, so the node counts stay fixed.
+def _poll_spent(sizes, orders=(False, True)):
     spent = []
-    for n in range(1, 7):
-        for swapped in (False, True):
+    for n in sizes:
+        for swapped in orders:
             ctx, p = poll_system(n, swapped=swapped)
             res = derivable(to_decl_context(ctx), barendregt_rename(p, avoid=ctx.names()))
             assert res.verdict is Verdict.DERIVABLE
             spent.append(res.spent)
-    assert spent == [19, 16, 28, 21, 50, 35, 106, 75, 234, 171, 522, 395]
+    return spent
+
+
+def test_poll_search_spends_pinned_node_counts():
+    # The search order is part of the contract: the same goals are decided
+    # in the same order, so the node counts stay fixed.  Relevance-directed
+    # splits make them 13 + 3n in both thread orders.
+    assert _poll_spent(range(1, 7)) == [16, 16, 19, 19, 22, 22, 25, 25, 28, 28, 31, 31]
+
+
+def test_poll_search_with_exhaustive_splits_spends_reference_node_counts(monkeypatch):
+    # The exhaustive enumerator still spends what the search spent before
+    # splits were pruned.
+    use_exhaustive_splits(monkeypatch)
+    assert _poll_spent(range(1, 7)) == [19, 16, 28, 21, 50, 35, 106, 75, 234, 171, 522, 395]
+
+
+def test_poll_search_grows_linearly():
+    # Decided within the default bound, at 13 + 3n nodes.
+    assert _poll_spent((8, 40, 300), orders=(False,)) == [37, 133, 913]
+
+
+def _criterion_4_pairs(stride: int):
+    """Every ``stride``-th (context, renamed process) pair of criterion 4's
+    exhaustive sweep, accepted and rejected terms alike."""
+    contexts = [Context([("x", entry_of_type(t))]) for t in U6]
+    for a, b in [(3, 0), (4, 0), (1, 2), (4, 5), (5, 0)]:
+        contexts.append(Context([("x", entry_of_type(U6[a])), ("y", entry_of_type(U6[b]))]))
+    procs = list(_exhaustive_procs(5, ("x", "y")))
+    for k, (ctx, p) in enumerate(itertools.product(contexts, procs)):
+        if k % stride == 0:
+            yield to_decl_context(ctx), barendregt_rename(p, avoid=ctx.names())
+
+
+# Contexts in which a linear end travels as a payload, which criterion 4's
+# un-end payloads never exercise: a value side that must take a linear entry.
+SEND_LIN_IN = parse_type("lin !(lin ?(un end).un end).un end")
+RECV_LIN_IN = parse_type("lin ?(lin ?(un end).un end).un end")
+SEND_LIN_OUT = parse_type("lin !(lin !(un end).un end).un end")
+DELEGATING = [
+    DeclContext([("x", SEND_LIN_IN), ("y", LIN_IN)]),
+    DeclContext([("x", ChanType(SEND_LIN_IN, RECV_LIN_IN)), ("y", LIN_IN)]),
+    DeclContext([("x", SEND_LIN_OUT), ("y", ChanType(LIN_IN, LIN_OUT))]),
+]
+
+
+def _delegating_pairs():
+    procs = list(_exhaustive_procs(4, ("x", "y")))
+    return [(i, barendregt_rename(p, avoid=i.names())) for i in DELEGATING for p in procs]
+
+
+def _generated_pairs(count: int):
+    """Seeded void-free ``gen_safe_context`` x ``gen_process`` pairs, and how
+    many of their contexts hold a pair with one linear and one unrestricted end."""
+    rng = random.Random(7)
+    pairs, mixed = [], 0
+    while len(pairs) < count:
+        names = ["x", "y", "z"][: 1 + len(pairs) % 3]
+        ctx = gen_safe_context(rng, names)
+        try:
+            decl = to_decl_context(ctx)
+        except ContextAlgebraError:  # the oracle is defined on void-free contexts only
+            continue
+        mixed += any(
+            isinstance(t, ChanType) and is_un_type(t.left) != is_un_type(t.right)
+            for _, t in decl.items()
+        )
+        p = gen_process(rng, names, size=4 + len(pairs) % 6)
+        pairs.append((decl, barendregt_rename(p, avoid=ctx.names())))
+    return pairs, mixed
+
+
+def test_pruned_splits_agree_with_exhaustive_search(monkeypatch):
+    pairs = list(_criterion_4_pairs(16)) + _delegating_pairs()
+    generated, mixed = _generated_pairs(2_000)
+    pairs += generated
+    assert len(pairs) == 50_044 + 12_303 + 2_000 and mixed >= 100
+    pruned = [derivable(i, p).verdict for i, p in pairs]
+    use_exhaustive_splits(monkeypatch)
+    reference = [derivable(i, p).verdict for i, p in pairs]
+    assert reference.count(Verdict.DERIVABLE) > 500
+    assert Verdict.INCONCLUSIVE not in reference
+    disagreements = [
+        (str(i), str(p)) for (i, p), a, b in zip(pairs, pruned, reference) if a is not b
+    ]
+    assert disagreements == []

@@ -7,7 +7,6 @@ from sessionpi.semantics import (
     invert,
     reduce_step,
     reduce_step_labeled,
-    reduce_trace,
     reduce_trace_labeled,
 )
 from sessionpi.syntax import New, Par, Zero
@@ -80,7 +79,7 @@ def test_basic_communication():
 
 def test_inaction_has_no_reducts():
     assert reduce_step(parse_process("0")) == []
-    assert reduce_trace(parse_process("0"), 5) == [parse_process("0")]
+    assert reduce_trace_labeled(parse_process("0"), 5) == []
 
 
 def test_substitution_happens_on_communication():
@@ -126,9 +125,9 @@ def test_poll_bootstrap_fires_within_radius_two():
 def test_poll_trace_delegates_then_sets_title_and_date():
     ctx, p = poll_system(1)
     q = barendregt_rename(p, avoid=ctx.names())
-    trace = reduce_trace(q, 4)
-    assert len(trace) == 5  # bootstrap, delegation, title, date
-    final = trace[-1]
+    trace = reduce_trace_labeled(q, 4)
+    assert len(trace) == 4  # bootstrap, delegation, title, date
+    _, final = trace[-1]
     # After title and date the poll annotation has advanced to its tail.
     binder = _find_new(final, "p")
     assert binder is not None
@@ -146,14 +145,13 @@ def _find_new(p, name):
 
 def test_reduce_trace_two_sequential_communications():
     p = parse_process("x!v.x!v.0 | x?(a).x?(b).0")
-    trace = reduce_trace(p, 5)
-    assert len(trace) == 3
-    assert pretty(trace[-1]) == "0 | 0"
+    trace = reduce_trace_labeled(p, 5)
+    assert len(trace) == 2
+    assert pretty(trace[-1][1]) == "0 | 0"
 
 
 def test_reduce_trace_labeled_names_each_step_channel():
     p = parse_process("x!v.y!v.0 | x?(a).y?(b).0")
     labeled = reduce_trace_labeled(p, 5)
     assert [chan for chan, _ in labeled] == ["x", "y"]
-    assert reduce_trace(p, 5) == [p] + [reduct for _, reduct in labeled]
     assert reduce_trace_labeled(p, 1) == labeled[:1]
