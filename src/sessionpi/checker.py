@@ -10,9 +10,9 @@ cannot reuse them.
 Dispatch takes the first rule whose guard holds and stops evaluating
 guards there.  With auditing on it evaluates every guard instead and
 records how many rules matched at each call, which on a safe context is
-at most one.  Location and trace strings are built only when an audit
-record or a trace step keeps them, and an error's texts only when they
-are read.
+at most one.  Location strings are built only when an audit record keeps
+them; a trace step keeps its subject and renders it when read, and an
+error formats its texts when they are read.
 
 Rule names carried in traces:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .contexts import (
     VOID,
@@ -69,6 +69,7 @@ from .syntax import (
     Type,
     Zero,
     barendregt_rename,
+    render,
 )
 
 
@@ -116,12 +117,26 @@ class AuditViolation(Exception):
     """A runtime invariant audit failed; indicates a checker bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
+    """One rule instance: its input context, its subject and, once the
+    rule has returned, its output context.
+
+    ``node`` is the subject itself: the process, or the ``(name, type)``
+    pair of a variable step.  ``subject`` renders it when read, so a traced
+    run builds no process text.
+    """
+
     rule: str
     input_ctx: Context
-    subject: str
+    node: Union[Process, tuple[str, Type]]
     output_ctx: Optional[Context] = None
+
+    @property
+    def subject(self) -> str:
+        if isinstance(self.node, tuple):
+            return f"{self.node[0]} : {self.node[1]}"
+        return str(self.node)
 
 
 @dataclass(frozen=True)
@@ -143,7 +158,7 @@ class CheckResult:
 
 
 def _loc(p: Process) -> str:
-    text = str(p)
+    text = render(p, limit=61)
     if len(text) > 60:
         text = text[:57] + "..."
     if getattr(p, "pos", None):
@@ -279,7 +294,7 @@ class _Checker:
             )
         rule, out = found
         if self.trace is not None:
-            self.trace.append(TraceStep(rule, g, f"{x} : {t}", out))
+            self.trace.append(TraceStep(rule, g, (x, t), out))
         return out
 
     # -- processes -----------------------------------------------------------
@@ -330,7 +345,7 @@ class _Checker:
         rule, body, extra = found
         step = None
         if self.trace is not None:
-            step = TraceStep(rule, g, str(p))
+            step = TraceStep(rule, g, p)
             self.trace.append(step)
         out = body(g, p, *extra)
         if step is not None:
@@ -455,7 +470,9 @@ def type_check(
     try:
         out = run.check(g, q)
     except CheckError as err:
-        return CheckResult(False, None, err, _completed(run), run.audits, q)
+        # Its traceback would reach, through the caller's frame, the result
+        # that keeps the error: a cycle only the garbage collector frees.
+        return CheckResult(False, None, err.with_traceback(None), _completed(run), run.audits, q)
     except ContextAlgebraError as err:
         wrapped = CheckError(ErrorKind.PARTIAL_ALGEBRA, lambda: str(q), str(err))
         return CheckResult(False, None, wrapped, _completed(run), run.audits, q)

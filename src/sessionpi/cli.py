@@ -83,7 +83,7 @@ def _trace_dicts(result: CheckResult) -> list[dict]:
         {
             "rule": step.rule,
             "input": str(step.input_ctx),
-            "subject": str(step.subject),
+            "subject": step.subject,
             "output": str(step.output_ctx),
         }
         for step in result.trace

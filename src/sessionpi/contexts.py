@@ -20,6 +20,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -96,58 +97,145 @@ def entry_equal(e1: Entry, e2: Entry) -> bool:
     return False
 
 
+class _Index:
+    """The names of a context in order, each with its slot.
+
+    Contexts over the same names in the same order share one index, and
+    each holds only a tuple of entries, one per slot.  The indexes that
+    ``add``, ``remove`` and ``subcontext`` derive are kept on the index
+    they come from, so a run that binds and drops the same names reuses
+    them.  An index made by adding a name answers the removal of that name
+    with the index it came from, which it refers to weakly: no index keeps
+    the one it came from alive, so a family of indexes is freed with the
+    last context over it, without the garbage collector.  There is no table
+    of all indexes.
+    """
+
+    __slots__ = ("names", "slots", "_plus", "_minus", "_subs", "_origin", "__weakref__")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.slots = dict(zip(names, range(len(names))))
+        self._plus: dict[str, _Index] | None = None
+        self._minus: dict[str, _Index] | None = None
+        self._subs: dict[tuple[str, ...], _Index] | None = None
+        self._origin: weakref.ref | None = None
+
+    def plus(self, name: str) -> "_Index":
+        """The index with ``name`` appended."""
+        if self._plus is None:
+            self._plus = {}
+        index = self._plus.get(name)
+        if index is None:
+            index = self._plus[name] = _Index(self.names + (name,))
+            index._origin = weakref.ref(self)
+        return index
+
+    def minus(self, name: str) -> "_Index":
+        """The index without ``name``."""
+        if self._origin is not None and name == self.names[-1]:
+            origin = self._origin()
+            if origin is not None:
+                return origin
+        if self._minus is None:
+            self._minus = {}
+        index = self._minus.get(name)
+        if index is None:
+            index = self._minus[name] = _Index(tuple(n for n in self.names if n != name))
+        return index
+
+    def sub(self, names: tuple[str, ...]) -> "_Index":
+        """The index over ``names``, some of this one's names."""
+        if names == self.names:
+            return self
+        if self._subs is None:
+            self._subs = {}
+        index = self._subs.get(names)
+        if index is None:
+            index = self._subs[names] = _Index(names)
+        return index
+
+
 class Context:
     """Immutable finite map from names to entries.
+
+    A context is a tuple of entries over an index from names to slots
+    (``_Index``), which it shares with the contexts it derives: ``set``
+    copies the tuple and keeps the index, so a context costs one pointer
+    per name.  ``items`` runs in insertion order; ``==`` and ``hash`` do
+    not depend on the order.
 
     The derivability oracle uses the same map from names to void-free
     types (``DeclContext``); it needs ``canonical`` and ``__hash__``.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_index", "_entries")
 
     def __init__(self, entries: Iterable[tuple[str, Entry]] = ()):
-        self._entries = dict(entries)
+        table = dict(entries)
+        self._index = _Index(tuple(table))
+        self._entries = tuple(table.values())
 
-    @classmethod
-    def _owning(cls, entries: dict[str, Entry]) -> "Context":
-        """Wrap a dict that no one else holds, without copying it again."""
-        g = cls.__new__(cls)
-        g._entries = entries
-        return g
+    def __reduce__(self):
+        # Copies and pickles rebuild the index, not the family it is in.
+        return Context, (list(self.items()),)
 
     def get(self, name: str) -> Entry | None:
-        return self._entries.get(name)
+        k = self._index.slots.get(name)
+        return None if k is None else self._entries[k]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._index.slots
 
     def names(self) -> frozenset[str]:
-        return frozenset(self._entries)
+        return frozenset(self._index.names)
 
     def items(self) -> Iterator[tuple[str, Entry]]:
-        return iter(self._entries.items())
+        return zip(self._index.names, self._entries)
 
     def set(self, name: str, entry: Entry) -> "Context":
-        if name not in self._entries:
-            raise KeyError(name)
-        return Context._owning({**self._entries, name: entry})
+        entries = list(self._entries)
+        entries[self._index.slots[name]] = entry
+        return _context(self._index, tuple(entries))
 
     def add(self, name: str, entry: Entry) -> "Context":
-        if name in self._entries:
+        if name in self._index.slots:
             raise KeyError(f"{name} already bound")
-        return Context._owning({**self._entries, name: entry})
+        return _context(self._index.plus(name), self._entries + (entry,))
 
     def remove(self, name: str) -> "Context":
-        new = dict(self._entries)
-        del new[name]
-        return Context._owning(new)
+        k = self._index.slots[name]
+        return _context(self._index.minus(name), self._entries[:k] + self._entries[k + 1 :])
+
+    def with_entries(self, entries: Iterable[Entry]) -> "Context":
+        """The context over the same names, in the same order, holding
+        ``entries`` (one per name)."""
+        entries = tuple(entries)
+        if len(entries) != len(self._entries):
+            raise ValueError(f"{len(entries)} entries for {len(self._entries)} names")
+        return _context(self._index, entries)
+
+    def subcontext(self, names: tuple[str, ...], entries: tuple) -> "Context":
+        """The context of ``names``, some of this one's, holding ``entries``;
+        callers that list the same names in the same order share one index."""
+        return _context(self._index.sub(names), entries)
 
     def canonical(self) -> tuple:
         """Hashable, order-independent form, for memo tables."""
-        return tuple(sorted(self._entries.items(), key=lambda kv: kv[0]))
+        return tuple(sorted(self.items()))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Context) and self._entries == other._entries
+        if not isinstance(other, Context):
+            return False
+        if self._index is other._index:
+            return self._entries == other._entries
+        if len(self._entries) != len(other._entries):
+            return False
+        for name, entry in self.items():
+            k = other._index.slots.get(name)
+            if k is None or other._entries[k] != entry:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self.canonical())
@@ -156,10 +244,18 @@ class Context:
         return len(self._entries)
 
     def __str__(self) -> str:
-        return ", ".join(f"{name}: {entry}" for name, entry in self._entries.items()) or "∅"
+        return ", ".join(f"{name}: {entry}" for name, entry in self.items()) or "∅"
 
     def __repr__(self) -> str:
-        return f"Context({self._entries!r})"
+        return f"Context({dict(self.items())!r})"
+
+
+def _context(index: _Index, entries: tuple) -> Context:
+    """The context of ``entries`` over ``index``."""
+    g = object.__new__(Context)
+    g._index = index
+    g._entries = entries
+    return g
 
 
 def context_equal(g1: Context, g2: Context) -> bool:
@@ -191,11 +287,11 @@ def pretty(value) -> str:
 
 def to_decl_context(g: Context) -> DeclContext:
     """Strict conversion; rejects any context containing a void slot."""
-    return DeclContext((name, type_of_entry(e)) for name, e in g.items())
+    return g.with_entries(type_of_entry(e) for _, e in g.items())
 
 
 def decl_to_context(i: DeclContext) -> Context:
-    return Context((name, entry_of_type(t)) for name, t in i.items())
+    return i.with_entries(entry_of_type(t) for _, t in i.items())
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +429,12 @@ def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
         e2 = g2.get(name)
         match (e1, e2):
             case (Single(a), Single(b)):
-                out.append((name, Single(op(a, b))))
+                out.append(Single(op(a, b)))
             case (Pair(a, b), Pair(c, d)):
-                out.append((name, Pair(op(a, c), op(b, d))))
+                out.append(Pair(op(a, c), op(b, d)))
             case _:
                 raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
-    return Context(out)
+    return g1.with_entries(out)
 
 
 def closure(g1: Context, g2: Context) -> Context:
@@ -353,13 +449,13 @@ def _used_item(m: Item) -> Endpoint:
 def used_map(g: Context) -> DeclContext:
     """Project a context to a declarative one; consumed slots become ``un end``."""
     out = []
-    for name, e in g.items():
+    for _, e in g.items():
         match e:
             case Single(item):
-                out.append((name, _used_item(item)))
+                out.append(_used_item(item))
             case Pair(left, right):
-                out.append((name, ChanType(_used_item(left), _used_item(right))))
-    return DeclContext(out)
+                out.append(ChanType(_used_item(left), _used_item(right)))
+    return g.with_entries(out)
 
 
 def _nabla_item(m: Item) -> Item:
@@ -371,13 +467,13 @@ def _nabla_item(m: Item) -> Item:
 def nabla(g: Context) -> Context:
     """The fully-consumed shape of ``g``: every linear slot set to ◦."""
     out = []
-    for name, e in g.items():
+    for _, e in g.items():
         match e:
             case Single(item):
-                out.append((name, Single(_nabla_item(item))))
+                out.append(Single(_nabla_item(item)))
             case Pair(left, right):
-                out.append((name, Pair(_nabla_item(left), _nabla_item(right))))
-    return Context(out)
+                out.append(Pair(_nabla_item(left), _nabla_item(right)))
+    return g.with_entries(out)
 
 
 def _update_item(m1: Item, m2: Item) -> Item:

@@ -42,7 +42,6 @@ from .syntax import (
     Send,
     Type,
     Zero,
-    free_vars,
     is_endpoint,
 )
 
@@ -117,14 +116,23 @@ def enumerate_splits(
     linear entries only for names it uses (``None``: every name, which is the
     exhaustive reference).  Entries are divided independently and each one's
     options are distinct, so no split repeats and none needs filtering."""
-    names = sorted(i.names())
-    left_names = i.names() if left_names is None else left_names
-    right_names = i.names() if right_names is None else right_names
+    all_names = i.names()
+    if not all_names:
+        yield Split(i, i, i)
+        return
+    names = tuple(sorted(all_names))
+    left_names = all_names if left_names is None else left_names
+    right_names = all_names if right_names is None else right_names
     options = [_entry_options(i.get(n), n in left_names, n in right_names) for n in names]
     for combo in itertools.product(*options):
-        left = [(n, t) for n, (t, _) in zip(names, combo) if t is not None]
-        right = [(n, t) for n, (_, t) in zip(names, combo) if t is not None]
-        yield Split(DeclContext(left), DeclContext(right), i)
+        # A side's types, one per name, ``None`` where the name is absent;
+        # ``filter(None, ...)`` keeps the types, none of which is falsy.
+        lefts, rights = zip(*combo)
+        yield Split(
+            i.subcontext(tuple(itertools.compress(names, lefts)), tuple(filter(None, lefts))),
+            i.subcontext(tuple(itertools.compress(names, rights)), tuple(filter(None, rights))),
+            i,
+        )
 
 
 def derivable_value(i: DeclContext, v: str, t: Type) -> bool:
@@ -133,8 +141,7 @@ def derivable_value(i: DeclContext, v: str, t: Type) -> bool:
     bound = i.get(v)
     if bound is None:
         return False
-    rest = i.remove(v)
-    if not is_un_decl_context(rest):
+    if not all(is_un_type(u) for name, u in i.items() if name != v):
         return False
     if type_equal(bound, t):
         return True
@@ -158,24 +165,82 @@ def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
 
 class _Search:
     """One search: the node budget still ``left``, the memo of decided goals
-    and the free names of subterms.  Recursive calls sit in plain loops, not
-    in ``any(...)``, so that each process level costs two frames."""
+    and what it knows of each subterm.  Recursive calls sit in plain loops,
+    not in ``any(...)``, so that each process level costs two frames."""
 
     def __init__(self, bound: int):
         self.left = bound
         self.memo: dict[tuple, bool] = {}
-        self.free: dict[int, tuple[Process, frozenset[str]]] = {}
+        # id of each subterm met -> (the subterm, its free names, its shape),
+        # where equal subterms, and only they, have the same shape number.
+        # Keeping the subterm keeps its id unique.
+        self.facts: dict[int, tuple[Process, frozenset[str], int]] = {}
+        self.shapes: dict[tuple, int] = {}
+
+    def _facts(self, p: Process) -> tuple[Process, frozenset[str], int]:
+        facts = self.facts.get(id(p))
+        if facts is None:
+            self._fill(p)
+            facts = self.facts[id(p)]
+        return facts
 
     def free_names(self, p: Process) -> frozenset[str]:
-        """``free_vars(p)`` once per subterm; keeping ``p`` keeps its ``id`` unique."""
-        entry = self.free.get(id(p))
-        if entry is None:
-            entry = self.free[id(p)] = (p, free_vars(p))
-        return entry[1]
+        """``free_vars(p)``, read from the table."""
+        return self._facts(p)[1]
+
+    def _fill(self, p: Process):
+        """Free names and shape of every subterm of ``p`` not met yet, in
+        one post-order walk on an explicit stack.  A node's free names are
+        built from its children's, and are one of theirs when it adds and
+        binds nothing new; its shape is numbered by its class, its names
+        and its children's shapes."""
+        table, shapes = self.facts, self.shapes
+        stack = [(p, False)]
+        while stack:
+            q, ready = stack.pop()
+            if id(q) in table:
+                continue
+            cls = type(q)
+            if not ready:
+                stack.append((q, True))
+                if cls is Par:
+                    stack.append((q.right, False))
+                    stack.append((q.left, False))
+                elif cls is Repl:
+                    stack.append((q.body, False))
+                elif cls is not Zero:
+                    stack.append((q.cont, False))
+                continue
+            if cls is Zero:
+                free, shape = frozenset(), (cls,)
+            elif cls is Par:
+                _, left, l_shape = table[id(q.left)]
+                _, right, r_shape = table[id(q.right)]
+                free = left if right <= left else right if left <= right else left | right
+                shape = (cls, l_shape, r_shape)
+            elif cls is Repl:
+                _, free, body_shape = table[id(q.body)]
+                shape = (cls, body_shape)
+            else:
+                _, free, cont_shape = table[id(q.cont)]
+                if cls is Output:
+                    if q.chan not in free or q.arg not in free:
+                        free = free | {q.chan, q.arg}
+                    shape = (cls, q.chan, q.arg, cont_shape)
+                else:
+                    if q.binder in free:
+                        free = free - {q.binder}
+                    if cls is Input:
+                        if q.chan not in free:
+                            free = free | {q.chan}
+                        shape = (cls, q.chan, q.binder, cont_shape)
+                    else:
+                        shape = (cls, q.binder, q.annot, cont_shape)
+            table[id(q)] = (q, free, shapes.setdefault(shape, len(shapes)))
 
     def derivable(self, i: DeclContext, p: Process) -> bool:
         """Probe the memo once; a goal not decided yet costs one node."""
-        key = (i.canonical(), p)
+        key = (i.canonical(), self._facts(p)[2])
         result = self.memo.get(key)
         if result is None:
             self.left -= 1

@@ -20,8 +20,7 @@ contractive and closed; both are checked at parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .syntax import (
     ChanType,
@@ -69,8 +68,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', keyword, 'void', a punctuation char, '0', or 'eof'
     text: str
     line: int

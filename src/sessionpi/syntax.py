@@ -170,7 +170,7 @@ class Zero:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return "0"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,7 @@ class Par:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        # '|' is the loosest operator and associates to the left.
-        right = f"({self.right})" if isinstance(self.right, Par) else str(self.right)
-        return f"{self.left} | {right}"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ class Repl:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"!{_factor(self.body)}"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ class Output:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"{self.chan}!{self.arg}.{_factor(self.cont)}"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ class Input:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"{self.chan}?({self.binder}).{_factor(self.cont)}"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -230,15 +228,66 @@ class New:
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"new {self.binder}: {self.annot}. {_factor(self.cont)}"
+        return render(self)
 
 
 Process = Union[Zero, Par, Repl, Output, Input, New]
 
 
-def _factor(p: Process) -> str:
-    # Continuations and replication bodies sit above '|' in the grammar.
-    return f"({p})" if isinstance(p, Par) else str(p)
+def render(p: Process, limit: Optional[int] = None) -> str:
+    """The concrete syntax of ``p``, or only its first ``limit`` characters.
+
+    ``|`` is the loosest operator and associates to the left, so a parallel
+    is parenthesised as the right operand of ``|`` and as a continuation or
+    replication body.  The walk keeps its pending pieces on an explicit
+    stack, text and subterms alike, so depth costs no recursion.
+    """
+    out: list[str] = []
+    size = 0
+    stack: list = [p]
+    push = stack.append
+    while stack:
+        q = stack.pop()
+        cls = type(q)
+        if cls is str:
+            out.append(q)
+            size += len(q)
+            if limit is not None and size >= limit:
+                break
+            continue
+        if cls is Par:
+            if type(q.right) is Par:
+                push(")")
+                push(q.right)
+                push(" | (")
+            else:
+                push(q.right)
+                push(" | ")
+            push(q.left)
+            continue
+        if cls is Zero:
+            out.append("0")
+            size += 1
+            continue
+        if cls is Output:
+            head, body = f"{q.chan}!{q.arg}.", q.cont
+        elif cls is Input:
+            head, body = f"{q.chan}?({q.binder}).", q.cont
+        elif cls is New:
+            head, body = f"new {q.binder}: {q.annot}. ", q.cont
+        elif cls is Repl:
+            head, body = "!", q.body
+        else:
+            raise TypeError(f"not a process: {q!r}")
+        if type(body) is Par:
+            push(")")
+            push(body)
+            push(head + "(")
+        else:
+            push(body)
+            push(head)
+    text = "".join(out)
+    return text if limit is None else text[:limit]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, type_check
 from sessionpi.contexts import DeclContext
 from sessionpi.equality import unfold
+from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
 from sessionpi.semantics import advance_type
 from sessionpi.syntax import End, Recv, Send
 
@@ -77,6 +78,27 @@ def use_exhaustive_splits(monkeypatch) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Deep inputs: (name, context text, process text)
+# ---------------------------------------------------------------------------
+
+UN_CHANNEL_CTX = "c : <rec a. un ?(un end).a, rec b. un !(un end).b>\nv : un end"
+
+
+def deep_inputs() -> dict[str, tuple[str, str]]:
+    """Context and process texts of a 400-prefix chain and a 400-way ``|``
+    on an unrestricted channel, half sends and half receives, and of
+    ``poll_system(350)``: each is well typed, and takes the checker several
+    hundred rule instances deep."""
+    prefixes = ["c!v." if i % 2 else f"c?(b{i})." for i in range(400)]
+    threads = [f"{prefix}0" for prefix in prefixes]
+    return {
+        "chain": (UN_CHANNEL_CTX, "".join(prefixes) + "0"),
+        "wide": (UN_CHANNEL_CTX, " | ".join(threads)),
+        "poll": (poll_context_text(350), f"{poll_service_text()} | {poll_client_text(350)}"),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Reference renamer: three recursive walks, renaming every term
 # ---------------------------------------------------------------------------
 
@@ -139,3 +161,29 @@ def reference_rename(p, avoid=frozenset()):
                 return New(fresh, annot, rename(cont, {**env, binder: fresh}), pos=q.pos)
 
     return rename(p, {})
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: one recursive __str__ per process node
+# ---------------------------------------------------------------------------
+
+def reference_str(p) -> str:
+    """Process text, one recursive call per node: the reference that the
+    explicit-stack printer must match."""
+
+    def factor(q) -> str:
+        return f"({reference_str(q)})" if isinstance(q, Par) else reference_str(q)
+
+    match p:
+        case Zero():
+            return "0"
+        case Par(left, right):
+            return f"{reference_str(left)} | {factor(right)}"
+        case Repl(body):
+            return f"!{factor(body)}"
+        case Output(chan, arg, cont):
+            return f"{chan}!{arg}.{factor(cont)}"
+        case Input(chan, binder, cont):
+            return f"{chan}?({binder}).{factor(cont)}"
+        case New(binder, annot, cont):
+            return f"new {binder}: {annot}. {factor(cont)}"

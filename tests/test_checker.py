@@ -1,5 +1,8 @@
+import gc
 import json
 import random
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ from sessionpi.gen import (
     un_server,
 )
 from tests.conftest import fixture_names, load_fixture
+from tests.helpers import deep_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
 
@@ -307,3 +311,56 @@ def test_accepting_run_builds_no_location_strings(monkeypatch):
         assert err.kind.value == want["kind"], name
         assert (err.location, err.detail) == (want["location"], want["detail"]), name
         assert str(err) == f"{want['kind']} at {want['location']}: {want['detail']}", name
+
+
+# ---------------------------------------------------------------------------
+# Traced checking of deep inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(deep_inputs()))
+def test_deep_inputs_check_with_the_trace_on(name):
+    ctx_text, proc_text = deep_inputs()[name]
+    result = type_check(parse_context(ctx_text), parse_process(proc_text))
+    assert result.accepted, result.error
+    assert len(result.trace) > 400
+    for step in result.trace:
+        node = step.node
+        assert step.subject == (f"{node[0]} : {node[1]}" if isinstance(node, tuple) else str(node))
+    assert result.trace[0].subject == str(result.process)
+
+
+def test_traced_poll_system_keeps_little_memory():
+    # Contexts along a trace share their name index, and steps keep their
+    # subjects as nodes: the result holds about one pointer per name and
+    # step.
+    ctx_text, proc_text = deep_inputs()["poll"]
+    g, p = parse_context(ctx_text), parse_process(proc_text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = type_check(g, p)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.accepted
+    assert retained < 8_000_000
+
+
+def test_rejected_result_is_freed_without_the_garbage_collector():
+    # The error a result keeps holds no traceback.  A traceback reaches the
+    # frame of its caller, which holds the result, which holds the error:
+    # a reference cycle that only the garbage collector frees.
+    g, p, _ = load_fixture("lin_then_un_misuse")
+
+    def rejected_error():
+        result = type_check(g, p)
+        assert not result.accepted
+        return weakref.ref(result.error)
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert rejected_error()() is None
+    finally:
+        gc.enable()

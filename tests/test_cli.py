@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from sessionpi import parse_context
+from sessionpi import parse_context, parse_process, type_check
 from sessionpi.cli import main
 from tests.conftest import FIXTURES, fixture_names
+from tests.helpers import deep_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -72,6 +73,21 @@ def test_check_trace_audit_json_matches_golden(capsys):
         del report["timing_ms"]
         assert code == want["exit_code"], name
         assert report == want["report"], name
+
+
+@pytest.mark.parametrize("name", sorted(deep_inputs()))
+def test_check_trace_json_accepts_deep_inputs(tmp_path, capsys, name):
+    ctx_text, proc_text = deep_inputs()[name]
+    proc, ctx = tmp_path / f"{name}.pi", tmp_path / f"{name}.ctx"
+    proc.write_text(proc_text, encoding="utf-8")
+    ctx.write_text(ctx_text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(proc), "--ctx", str(ctx), "--trace", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["accepted"] is True
+    # The first step's subject is the whole term, renamed apart.
+    checked = type_check(parse_context(ctx_text), parse_process(proc_text), trace=False)
+    assert report["trace"][0]["subject"] == str(checked.process)
 
 
 @pytest.mark.parametrize("command", ["check", "reduce"])

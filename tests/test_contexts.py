@@ -1,6 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpi import (
     VOID,
@@ -218,3 +222,81 @@ def test_context_pretty_round_trip():
     for _ in range(50):
         g = gen_safe_context(rng, ["x", "y", "z'"])
         assert parse_context(pretty(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# Context against a plain-dict model
+# ---------------------------------------------------------------------------
+
+NAMES = ("a", "b", "c", "d", "e")
+ENTRIES = (Single(E), Single(LIN_IN), Single(VOID), Pair(LIN_IN, LIN_OUT), Pair(VOID, E))
+
+_op = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(NAMES), st.sampled_from(ENTRIES)),
+    st.tuples(st.just("add"), st.sampled_from(NAMES), st.sampled_from(ENTRIES)),
+    st.tuples(st.just("remove"), st.sampled_from(NAMES)),
+    # Go back to an earlier context, so that later steps derive from
+    # contexts whose indexes already have derived ones.
+    st.tuples(st.just("back"), st.integers(min_value=0)),
+)
+
+
+def _agrees(g: Context, model: dict):
+    assert list(g.items()) == list(model.items())
+    assert g.names() == frozenset(model)
+    assert len(g) == len(model)
+    assert g.canonical() == tuple(sorted(model.items()))
+    for name in NAMES:
+        assert g.get(name) == model.get(name)
+        assert (name in g) == (name in model)
+    assert g == Context(reversed(list(model.items())))
+    assert hash(g) == hash(Context(reversed(list(model.items()))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_op, max_size=30))
+def test_context_agrees_with_a_dict_model(ops):
+    history = [(Context(), {})]
+    g, model = history[0]
+    for op in ops:
+        if op[0] == "back":
+            g, model = history[op[1] % len(history)]
+            continue
+        name = op[1]
+        expected_error = (name in model) == (op[0] == "add")
+        try:
+            if op[0] == "set":
+                g = g.set(name, op[2])
+            elif op[0] == "add":
+                g = g.add(name, op[2])
+            else:
+                g = g.remove(name)
+        except KeyError:
+            assert expected_error, op
+            continue
+        assert not expected_error, op
+        model = dict(model)
+        if op[0] == "remove":
+            del model[name]
+        else:
+            model[name] = op[2]
+        _agrees(g, model)
+        history.append((g, model))
+    for g1, m1 in history:
+        for g2, m2 in history:
+            assert (g1 == g2) == (m1 == m2)
+            if m1 == m2:
+                assert hash(g1) == hash(g2)
+
+
+def test_derived_contexts_share_their_index():
+    g = Context([("x", Single(LIN_IN)), ("y", Single(E))])
+    assert g.set("x", Single(VOID))._index is g._index
+    # Adding and then removing a name gives the index back.
+    assert g.add("z", Single(E)).remove("z")._index is g._index
+    assert g.add("z", Single(E))._index is g.add("z", Single(VOID))._index
+    assert used_map(g)._index is g._index and nabla(g)._index is g._index
+    assert closure(g, g.set("x", Single(VOID)))._index is g._index
+    grown = g.add("z", Single(E))
+    for copied in (pickle.loads(pickle.dumps(grown)), copy.deepcopy(grown)):
+        assert copied == grown and list(copied.items()) == list(grown.items())

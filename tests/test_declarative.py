@@ -12,6 +12,7 @@ from sessionpi import (
     type_check,
 )
 from sessionpi.contexts import DeclContext, is_un_type, to_decl_context
+from sessionpi import declarative
 from sessionpi.declarative import (
     Verdict,
     derivable,
@@ -20,7 +21,7 @@ from sessionpi.declarative import (
 )
 from sessionpi.equality import head_qual
 from sessionpi.gen import gen_process, gen_safe_context, lin_pingpong, poll_system, un_server
-from sessionpi.syntax import Qual, is_endpoint
+from sessionpi.syntax import Qual, free_vars, is_endpoint, subprocesses
 from tests.conftest import load_fixture
 from tests.helpers import use_exhaustive_splits
 from tests.test_acceptance import U6, _exhaustive_procs
@@ -304,3 +305,36 @@ def test_pruned_splits_agree_with_exhaustive_search(monkeypatch):
         (str(i), str(p)) for (i, p), a, b in zip(pairs, pruned, reference) if a is not b
     ]
     assert disagreements == []
+
+
+def test_subterm_table_is_filled_in_one_walk_per_term(monkeypatch):
+    # The free names and shapes of poll_system(300)'s subterms cost one
+    # walk, which enters each of its 913 subterms once.
+    walks, tables = [], []
+    fill = declarative._Search._fill
+
+    def counted(search, p):
+        walks.append(p)
+        tables.append(search.facts)
+        fill(search, p)
+
+    monkeypatch.setattr(declarative._Search, "_fill", counted)
+    ctx, p = poll_system(300)
+    q = barendregt_rename(p, avoid=ctx.names())
+    assert derivable(to_decl_context(ctx), q).spent == 913
+    assert len(walks) == 1 and walks[0] is q
+    assert len(tables[0]) == 913 == sum(1 for _ in subprocesses(q))
+
+
+def test_subterm_facts_agree_with_free_vars_and_equality():
+    rng = random.Random(47)
+    for _ in range(300):
+        p = gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 10))
+        q = gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 10))
+        search = declarative._Search(1)
+        for sub in subprocesses(p):
+            assert search.free_names(sub) == free_vars(sub)
+        shape = search._facts(p)[2]
+        assert (search._facts(q)[2] == shape) == (q == p)
+        # A term equal to p but built apart has p's shape.
+        assert search._facts(parse_process(str(p)))[2] == shape

@@ -26,8 +26,8 @@ from sessionpi import (
     substitute,
 )
 from sessionpi.gen import gen_process, gen_safe_context, poll_client_text, poll_service_text
-from sessionpi.syntax import _scan
-from tests.helpers import reference_rename
+from sessionpi.syntax import _scan, render
+from tests.helpers import reference_rename, reference_str
 
 
 def test_parse_zero():
@@ -59,6 +59,22 @@ def test_parse_errors_carry_line_and_column():
     with pytest.raises(ParseError) as err:
         parse_process("x!y.0 |\n| 0")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_process, "x!y.0 |\n| 0", 2, 1),
+        (parse_process, "x!y.0 |\n  x?(z).$", 2, 9),
+        (parse_type, "lin ?(un end).", 1, 15),
+        (parse_context, "x : un end\ny : lin !(un end).", 2, 16),
+        (parse_process, "new x: un end.\n\n   x!x.(0 | )", 3, 13),
+    ],
+)
+def test_parse_error_positions_are_pinned(parse, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_type_base():
@@ -128,6 +144,47 @@ def test_pretty_round_trip_random_types():
     for _ in range(100):
         t = gen_type(rng)
         assert parse_type(pretty(t)) == t
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 | (0 | 0)",
+        "0 | 0 | 0",
+        "x!y.(0 | 0) | !(0 | 0)",
+        "!!x?(y).0",
+        "new p: <lin ?(un end).un end, lin !(un end).un end>. (p?(z).0 | p!v.0)",
+    ],
+)
+def test_printer_parenthesises_as_the_grammar_needs(text):
+    p = parse_process(text)
+    assert str(p) == reference_str(p) == text
+
+
+def test_printer_agrees_with_the_recursive_reference(fixture_dir):
+    terms = [parse_process((d / "process.pi").read_text()) for d in sorted(fixture_dir.iterdir())]
+    terms += [parse_process(poll_service_text()), parse_process(poll_client_text(3))]
+    rng = random.Random(43)
+    for _ in range(1000):
+        terms.append(gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 12)))
+    for p in terms:
+        text = reference_str(p)
+        assert str(p) == text
+        for limit in (1, 30, 61, len(text)):
+            assert render(p, limit) == text[:limit]
+
+
+def test_printer_needs_no_recursion():
+    # Built directly: the parser refuses input this deep.
+    chain, left, right = Zero(), Zero(), Zero()
+    for _ in range(10_000):
+        chain = Output("x", "v", chain)
+        left = Par(left, Output("x", "v", Zero()))
+        right = Par(Zero(), right)
+    assert str(chain) == "x!v." * 10_000 + "0"
+    assert render(chain, limit=61) == ("x!v." * 16)[:61]
+    assert str(left) == "0" + " | x!v.0" * 10_000
+    assert str(right) == "0 | (" * 9_999 + "0 | 0" + ")" * 9_999
 
 
 def test_free_vars():
