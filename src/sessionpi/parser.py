@@ -14,7 +14,9 @@ alias ``void``), alone or inside a ``<_, _>`` pair.
 
 Prefix continuations, replication bodies and restriction bodies bind tighter
 than ``|``; parenthesise a parallel there.  Recursive types must be
-contractive and closed; both are checked at parse time.
+contractive and closed.  The parser checks both as it reads, and reports the
+offending token: an unbound type variable, or the ``rec`` whose body, past its
+own chain of ``rec`` binders, is its own variable.
 """
 
 from __future__ import annotations
@@ -102,9 +104,12 @@ def _tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, what: str):
         self.tokens = _tokenize(src)
         self.index = 0
+        self.what = what  # what the types read are, in error messages
+        self.scope: list[str] = []  # recursion variables bound here
+        self.tail: str | None = None  # the last endpoint read, past its recs, if a variable
 
     # -- token plumbing ----------------------------------------------------
 
@@ -193,14 +198,29 @@ class _Parser:
         if tok.kind in ("lin", "un"):
             self.next()
             qual = Qual.LIN if tok.kind == "lin" else Qual.UN
-            return Qualified(qual, self.pre_type())
+            pre = self.pre_type()
+            self.tail = None
+            return Qualified(qual, pre)
         if tok.kind == "rec":
             self.next()
             var = self.expect("ident").text
             self.expect(".")
-            return Rec(var, self.endpoint())
+            self.scope.append(var)
+            body = self.endpoint()
+            self.scope.pop()
+            # The chain's inner recs have already tested their own variables.
+            if self.tail == var:
+                self.fail(
+                    f"non-contractive recursive type in {self.what}: "
+                    f"rec {var}. ... resolves to one of its own binders",
+                    tok,
+                )
+            return Rec(var, body)
         if tok.kind == "ident":
             self.next()
+            if tok.text not in self.scope:
+                self.fail(f"unbound type variable {tok.text!r} in {self.what}", tok)
+            self.tail = tok.text
             return TypeVar(tok.text)
         self.fail(f"expected a type, found {tok.text or 'end of input'!r}", tok)
 
@@ -238,88 +258,30 @@ class _Parser:
         return self.endpoint()
 
 
-def _check_closed_contractive(t: Type, where: str = "type"):
-    """Reject free type variables and non-contractive recursion."""
-
-    def walk(s, bound: frozenset[str]):
-        match s:
-            case TypeVar(name):
-                if name not in bound:
-                    raise ParseError(f"unbound type variable {name!r} in {where}", 0, 0)
-            case Rec(_, _):
-                chain = []
-                inner = s
-                while isinstance(inner, Rec):
-                    chain.append(inner.var)
-                    inner = inner.body
-                if isinstance(inner, TypeVar) and inner.name in chain:
-                    raise ParseError(
-                        f"non-contractive recursive type in {where}: "
-                        f"rec {s.var}. ... resolves to one of its own binders",
-                        0,
-                        0,
-                    )
-                walk(s.body, bound | {s.var})
-            case Qualified(_, Recv(payload, cont)) | Qualified(_, Send(payload, cont)):
-                walk_type(payload, bound)
-                walk(cont, bound)
-            case Qualified(_, End()):
-                pass
-
-    def walk_type(t2, bound: frozenset[str]):
-        if isinstance(t2, ChanType):
-            walk(t2.left, bound)
-            walk(t2.right, bound)
-        else:
-            walk(t2, bound)
-
-    walk_type(t, frozenset())
-
-
-def _validate_annotations(p: Process):
-    match p:
-        case New(_, annot, cont):
-            _check_closed_contractive(annot, "restriction annotation")
-            _validate_annotations(cont)
-        case Par(left, right):
-            _validate_annotations(left)
-            _validate_annotations(right)
-        case Repl(body) | Output(_, _, body) | Input(_, _, body):
-            _validate_annotations(body)
-        case Zero():
-            pass
-
-
-def _parse(src: str, rule: Callable, validate: Callable):
-    """Parse all of ``src`` with ``rule``, then ``validate`` the result; both
-    recurse on nesting depth, and too deep an input is a ParseError."""
-    parser = _Parser(src)
+def _parse(src: str, rule: Callable, what: str):
+    """Parse all of ``src`` with ``rule``, calling its types ``what`` in
+    errors; the parser recurses on nesting depth, and too deep an input is a
+    ParseError."""
+    parser = _Parser(src, what)
     try:
         result = rule(parser)
         parser.expect("eof")
-        validate(result)
     except RecursionError:
         tok = parser.peek()
         raise ParseError("input too deep to parse", tok.line, tok.column) from None
     return result
 
 
-def _validate_entry(e: Entry):
-    for item in (e.item,) if isinstance(e, Single) else (e.left, e.right):
-        if item is not VOID:
-            _check_closed_contractive(item, "entry")
-
-
 def parse_process(src: str) -> Process:
-    return _parse(src, _Parser.process, _validate_annotations)
+    return _parse(src, _Parser.process, "restriction annotation")
 
 
 def parse_type(src: str) -> Type:
-    return _parse(src, _Parser.type_, _check_closed_contractive)
+    return _parse(src, _Parser.type_, "type")
 
 
 def parse_entry(src: str) -> Entry:
-    return _parse(src, _Parser.entry, _validate_entry)
+    return _parse(src, _Parser.entry, "entry")
 
 
 def parse_context(src: str) -> Context:
@@ -340,5 +302,6 @@ def parse_context(src: str) -> Context:
         try:
             entries.append((name, parse_entry(entry_part)))
         except ParseError as err:
-            raise ParseError(f"in binding for {name!r}: {err.message}", lineno, err.column)
+            column = raw.index(":") + 1 + err.column  # the entry starts after the colon
+            raise ParseError(f"in binding for {name!r}: {err.message}", lineno, column)
     return Context(entries)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, type_check
-from sessionpi.contexts import DeclContext
+from sessionpi.contexts import VOID, DeclContext, Pair, Single
 from sessionpi.equality import unfold
 from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
 from sessionpi.semantics import advance_type
-from sessionpi.syntax import End, Recv, Send
+from sessionpi.syntax import End, Qualified, Rec, Recv, Send, TypeVar
 
 # ---------------------------------------------------------------------------
 # Bounded tree expansion: an equality oracle independent of type_equal
@@ -187,3 +187,60 @@ def reference_str(p) -> str:
             return f"{chan}?({binder}).{factor(cont)}"
         case New(binder, annot, cont):
             return f"new {binder}: {annot}. {factor(cont)}"
+
+
+# ---------------------------------------------------------------------------
+# Reference validation: closed and contractive, checked by walking the result
+# ---------------------------------------------------------------------------
+
+def reference_validate(value) -> None:
+    """Raise ``ValueError`` if a type in ``value`` has a free type variable or
+    a non-contractive ``rec``: the walks the parser made over its result
+    before it checked types as it read them.  ``value`` is a type, an entry,
+    or a process whose restriction annotations are checked."""
+
+    def walk(s, bound: frozenset[str]):
+        match s:
+            case TypeVar(name):
+                if name not in bound:
+                    raise ValueError(f"unbound type variable {name!r}")
+            case Rec(_, _):
+                chain = []
+                inner = s
+                while isinstance(inner, Rec):
+                    chain.append(inner.var)
+                    inner = inner.body
+                if isinstance(inner, TypeVar) and inner.name in chain:
+                    raise ValueError(f"non-contractive recursive type: rec {s.var}. ...")
+                walk(s.body, bound | {s.var})
+            case Qualified(_, Recv(payload, cont)) | Qualified(_, Send(payload, cont)):
+                walk_type(payload, bound)
+                walk(cont, bound)
+            case Qualified(_, End()):
+                pass
+
+    def walk_type(t, bound: frozenset[str]):
+        if isinstance(t, ChanType):
+            walk(t.left, bound)
+            walk(t.right, bound)
+        elif t is not VOID:
+            walk(t, bound)
+
+    match value:
+        case Single(item):
+            walk_type(item, frozenset())
+        case Pair(left, right):
+            walk_type(left, frozenset())
+            walk_type(right, frozenset())
+        case New(_, annot, cont):
+            walk_type(annot, frozenset())
+            reference_validate(cont)
+        case Par(left, right):
+            reference_validate(left)
+            reference_validate(right)
+        case Repl(body) | Output(_, _, body) | Input(_, _, body):
+            reference_validate(body)
+        case Zero():
+            pass
+        case _:
+            walk_type(value, frozenset())

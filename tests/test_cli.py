@@ -129,6 +129,22 @@ def test_non_utf8_input_is_usage_error_without_traceback(tmp_path, command, bad)
     assert "Traceback" not in done.stderr
 
 
+def test_unbound_type_variable_in_context_is_one_positioned_line(tmp_path):
+    proc = tmp_path / "p.pi"
+    ctx = tmp_path / "c.ctx"
+    proc.write_text("x!x.0\n")
+    ctx.write_text("x : un end\ny : rec a. b\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "sessionpi.cli", "check", str(proc), "--ctx", str(ctx)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("parse error: 2:12: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_check_trace_and_audit_flags(capsys):
     code, out, _ = run_cli(capsys, "check", *fixture_args("poll"), "--trace", "--audit")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -25,9 +26,17 @@ from sessionpi import (
     pretty,
     substitute,
 )
-from sessionpi.gen import gen_process, gen_safe_context, poll_client_text, poll_service_text
+from sessionpi.gen import (
+    gen_endpoint,
+    gen_process,
+    gen_safe_context,
+    gen_type,
+    poll_client_text,
+    poll_service_text,
+)
+from sessionpi.parser import _Parser
 from sessionpi.syntax import _scan, render
-from tests.helpers import reference_rename, reference_str
+from tests.helpers import reference_rename, reference_str, reference_validate
 
 
 def test_parse_zero():
@@ -67,8 +76,12 @@ def test_parse_errors_carry_line_and_column():
         (parse_process, "x!y.0 |\n| 0", 2, 1),
         (parse_process, "x!y.0 |\n  x?(z).$", 2, 9),
         (parse_type, "lin ?(un end).", 1, 15),
-        (parse_context, "x : un end\ny : lin !(un end).", 2, 16),
+        (parse_context, "x : un end\ny : lin !(un end).", 2, 19),
         (parse_process, "new x: un end.\n\n   x!x.(0 | )", 3, 13),
+        (parse_type, "rec a. un ?(un end).b", 1, 21),
+        (parse_process, "x!x.0 |\nnew y: rec a. a. 0", 2, 8),
+        (parse_context, "x : un end\ny : rec a. b", 2, 12),
+        (parse_context, "  x : lin foo", 1, 11),
     ],
 )
 def test_parse_error_positions_are_pinned(parse, text, line, column):
@@ -101,6 +114,94 @@ def test_parse_type_rejects_free_variable():
 def test_parse_process_checks_annotations():
     with pytest.raises(ParseError, match="non-contractive"):
         parse_process("new x: rec a. a. 0")
+
+
+def test_parse_reports_the_first_fault_in_source_order():
+    with pytest.raises(ParseError, match=r"rec b\.") as err:
+        parse_type("rec a. rec b. b")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError, match="unbound type variable 'c'"):
+        parse_type("rec a. un ?(c).a | (")
+
+
+# Tokens the agreement test inserts or substitutes, and the three places a
+# type is read: alone, as the first item of an entry, as an annotation.
+_MUTATION_TOKENS = "rec a b . lin un end ( ) < > ,".split()
+_TYPE_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\S")
+_WRAPS = [(parse_type, "{}"), (parse_entry, "<{}, void>"), (parse_process, "new x: {}. x!x.0 | 0")]
+# Scope faults that random mutation finds only rarely.
+_HAND_TYPES = [
+    "<rec a. un ?(un end).a, a>",
+    "<rec a. un ?(un end).a, rec b. lin !(a).b>",
+    "un !(rec a. un ?(un end).a).a",
+    "rec a. rec b. a",
+    "rec a. rec b. b",
+    "rec a. rec a. a",
+    "rec a. un ?(a).a",
+    "rec a. un ?(rec a. a).a",
+    "rec a. un !(rec b. un ?(b).a).b",
+    "rec a. lin ?(un end).rec b. a",
+]
+
+
+def _mutate(rng, text):
+    """``text`` with one token-level edit: replace or delete a token, or
+    insert one of ``_MUTATION_TOKENS``."""
+    tokens = _TYPE_TOKEN.findall(text)
+    i = rng.randrange(len(tokens) + 1)
+    edit = rng.choice(("replace", "delete", "insert"))
+    if edit == "insert" or i == len(tokens):
+        tokens.insert(i, rng.choice(_MUTATION_TOKENS))
+    elif edit == "replace":
+        tokens[i] = rng.choice(_MUTATION_TOKENS)
+    else:
+        del tokens[i]
+    return " ".join(tokens)
+
+
+def _parse_or_none(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return None
+
+
+def test_parser_checks_agree_with_the_reference_walk(monkeypatch):
+    """Accept/reject and values of the parser match an unchecked parse
+    followed by ``reference_validate``, on generated types, generated
+    endpoints under one or two ``rec`` binders, and their mutants."""
+    rng = random.Random(2011)
+    texts = list(_HAND_TYPES)
+    for _ in range(800):
+        binders = "".join(f"rec {rng.choice('ab')}. " for _ in range(rng.randint(1, 2)))
+        body = gen_endpoint(rng, rng.randint(0, 3), rec_var=rng.choice("ab"))
+        for base in (str(gen_type(rng, depth=rng.randint(1, 3))), binders + str(body)):
+            texts.append(base)
+            texts.extend(_mutate(rng, base) for _ in range(3))
+    cases = [(parse, wrap.format(text)) for text in texts for parse, wrap in _WRAPS]
+
+    # With its two scope checks made no-ops, the parser reads every
+    # syntactically valid type, as it did before it checked them.
+    def unchecked_fail(self, message, tok=None):
+        if not message.startswith(("unbound type variable", "non-contractive")):
+            fail(self, message, tok)
+
+    fail = _Parser.fail
+    with monkeypatch.context() as patch:
+        patch.setattr(_Parser, "fail", unchecked_fail)
+        unchecked = [_parse_or_none(parse, text) for parse, text in cases]
+    faults = {"unbound": 0, "non-contractive": 0}
+    for (parse, text), value in zip(cases, unchecked):
+        if value is not None:
+            try:
+                reference_validate(value)
+            except ValueError as err:
+                value = None
+                faults[str(err).split()[0]] += 1
+        assert _parse_or_none(parse, text) == value, text
+    accepted = sum(value is not None for value in unchecked) - sum(faults.values())
+    assert len(cases) == 19_230
+    assert accepted > 4_000 and min(faults.values()) > 100, (accepted, faults)
 
 
 def test_parse_context_single_binding():
