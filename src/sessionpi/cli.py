@@ -6,8 +6,10 @@ reduction trace), ``congruence`` (fuzz the checker with random one-step
 congruence rewrites), ``table`` (recompute the context-algebra regression
 table).
 
-Exit codes: 0 accept/agree, 1 reject/diverge/mismatch, 2 usage or parse
-error or input too deep to process, 3 inconclusive oracle verdict.
+Exit codes: 0 accept/agree, 1 reject/diverge/mismatch, 2 usage, parse or
+input error (a missing or unreadable file, a file that is not UTF-8, a
+context error such as a void entry given to ``oracle``, or input too deep to
+process), 3 inconclusive oracle verdict.
 """
 
 from __future__ import annotations
@@ -346,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"input is not UTF-8: {err}", file=sys.stderr)
         return 2
     except RecursionError as err:
-        # Renaming and checking recurse on the term's depth.
+        # Checking, the oracle and process equality recurse on depth.
         print(f"input too deep: {err}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):

@@ -4,9 +4,9 @@ Two types are equal when their infinite unfoldings are equal as regular
 trees, with channel pair types compared modulo commutation of the two
 components.  The decision procedure is the usual coinductive one: unfold
 both sides to a head constructor and compare, assuming equal any pair of
-types already under comparison.  Contractiveness (checked at parse time)
-bounds unfolding, and the set of distinct subterm pairs is finite, so the
-procedure terminates.
+types already under comparison.  Contractiveness (checked at parse time,
+and by ``unfold`` for types built in code) bounds unfolding, and the set of
+distinct subterm pairs is finite, so the procedure terminates.
 
 Types are interned (``syntax``), so identical types are one object: equality
 first tests ``is``, and ``unfold`` and ``type_equal`` keep each answer in a
@@ -69,13 +69,18 @@ _EQUAL: dict[tuple[Type, Type], bool] = {}
 
 
 def unfold(s: Endpoint) -> Qualified:
-    """Unfold a closed endpoint type until the head is a qualified pre-type."""
+    """Unfold a closed endpoint type until the head is a qualified pre-type;
+    an open or non-contractive one raises ``ValueError``."""
     if isinstance(s, Qualified):
         return s
     head = _UNFOLDED.get(s)
     if head is None:
         head = s
+        seen: set[Rec] = set()
         while isinstance(head, Rec):
+            if head in seen:  # interned, so a non-contractive type comes back
+                raise ValueError(f"cannot unfold non-contractive type {s}")
+            seen.add(head)
             head = subst_type(head.body, head.var, head)
         if not isinstance(head, Qualified):
             raise ValueError(f"cannot unfold open type {s}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class Qual(enum.Enum):
@@ -165,35 +165,33 @@ def is_endpoint(t: Type) -> bool:
 Pos = tuple  # (line, column), recorded for diagnostics only
 
 
-@dataclass(frozen=True)
-class Zero:
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+class _Node:
+    """Base of the process nodes: they print in concrete syntax."""
 
     def __str__(self) -> str:
         return render(self)
 
 
 @dataclass(frozen=True)
-class Par:
+class Zero(_Node):
+    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Par(_Node):
     left: "Process"
     right: "Process"
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Repl:
+class Repl(_Node):
     body: "Process"
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Output:
+class Output(_Node):
     """``chan!arg.cont``: send the variable ``arg`` on ``chan``."""
 
     chan: str
@@ -201,12 +199,9 @@ class Output:
     cont: "Process"
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Input:
+class Input(_Node):
     """``chan?(binder).cont``: receive on ``chan``, binding ``binder`` in ``cont``."""
 
     chan: str
@@ -214,21 +209,15 @@ class Input:
     cont: "Process"
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class New:
+class New(_Node):
     """``new binder: annot. cont``: restriction with a type annotation."""
 
     binder: str
     annot: Type
     cont: "Process"
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Process = Union[Zero, Par, Repl, Output, Input, New]
@@ -354,6 +343,52 @@ def free_vars(p: Process) -> frozenset[str]:
     return frozenset(_scan(p).free)
 
 
+def _rebuild(p: Process, env: dict[str, str], bind: Callable) -> Process:
+    """``p`` rebuilt with its free names mapped through ``env`` (a name it
+    lacks stays), children before parents, each node keeping its ``pos``;
+    ``Zero`` nodes are kept themselves.  At each binder, met in preorder,
+    ``bind(node, env)`` returns the binder's new name and the map for its
+    scope.  A node is pushed again below its children, with its new leading
+    fields, and then takes its children from ``built``: depth costs no
+    recursion.
+    """
+    built: list[Process] = []
+    stack: list = [(p, env, None)]
+    push = stack.append
+    while stack:
+        q, env, head = stack.pop()
+        cls = type(q)
+        if head is not None:
+            if cls is Par:
+                right = built.pop()
+                built[-1] = Par(built[-1], right, pos=q.pos)
+            else:
+                built[-1] = cls(*head, built[-1], pos=q.pos)
+        elif cls is Zero:
+            built.append(q)
+        elif cls is Par:
+            push((q, env, ()))
+            push((q.right, env, None))
+            push((q.left, env, None))
+        elif cls is Output:
+            push((q, env, (env.get(q.chan, q.chan), env.get(q.arg, q.arg))))
+            push((q.cont, env, None))
+        elif cls is Input:
+            binder, inner = bind(q, env)
+            push((q, env, (env.get(q.chan, q.chan), binder)))
+            push((q.cont, inner, None))
+        elif cls is New:
+            binder, inner = bind(q, env)
+            push((q, env, (binder, q.annot)))
+            push((q.cont, inner, None))
+        elif cls is Repl:
+            push((q, env, ()))
+            push((q.body, env, None))
+        else:
+            raise TypeError(f"not a process: {q!r}")
+    return built[0]
+
+
 class CaptureError(Exception):
     """A substitution would capture a free name; signals a renaming bug upstream."""
 
@@ -363,41 +398,17 @@ def substitute(p: Process, replacement: str, target: str) -> Process:
     if replacement == target:
         return p
 
-    def sub(q: Process) -> Process:
-        match q:
-            case Zero():
-                return q
-            case Par(left, right):
-                return Par(sub(left), sub(right), pos=q.pos)
-            case Repl(body):
-                return Repl(sub(body), pos=q.pos)
-            case Output(chan, arg, cont):
-                return Output(
-                    replacement if chan == target else chan,
-                    replacement if arg == target else arg,
-                    sub(cont),
-                    pos=q.pos,
-                )
-            case Input(chan, binder, cont):
-                chan2 = replacement if chan == target else chan
-                if binder == target:
-                    return Input(chan2, binder, cont, pos=q.pos)
-                if binder == replacement and target in free_vars(cont):
-                    raise CaptureError(
-                        f"substituting {replacement} for {target} would be captured by {binder}"
-                    )
-                return Input(chan2, binder, sub(cont), pos=q.pos)
-            case New(binder, annot, cont):
-                if binder == target:
-                    return q
-                if binder == replacement and target in free_vars(cont):
-                    raise CaptureError(
-                        f"substituting {replacement} for {target} would be captured by {binder}"
-                    )
-                return New(binder, annot, sub(cont), pos=q.pos)
-        raise TypeError(f"not a process: {q!r}")
+    def bind(q: Process, env: dict[str, str]) -> tuple[str, dict[str, str]]:
+        binder = q.binder
+        if binder == target:
+            return binder, {}  # target is bound here, so its scope maps nothing
+        if binder == replacement and env and target in free_vars(q.cont):
+            raise CaptureError(
+                f"substituting {replacement} for {target} would be captured by {binder}"
+            )
+        return binder, env
 
-    return sub(p)
+    return _rebuild(p, {target: replacement}, bind)
 
 
 def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()) -> Process:
@@ -416,43 +427,19 @@ def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()
     present = scan.names | set(avoid)
     counters: dict[str, int] = {}
 
-    def fresh(base: str) -> str:
-        n = counters.get(base, 0)
-        while True:
-            n += 1
-            candidate = f"{base}{n}"
-            if candidate not in used and candidate not in present:
-                counters[base] = n
-                return candidate
-
-    def rename(q: Process, env: dict[str, str]) -> Process:
-        match q:
-            case Zero():
-                return q
-            case Par(left, right):
-                return Par(rename(left, env), rename(right, env), pos=q.pos)
-            case Repl(body):
-                return Repl(rename(body, env), pos=q.pos)
-            case Output(chan, arg, cont):
-                return Output(env.get(chan, chan), env.get(arg, arg), rename(cont, env), pos=q.pos)
-            case Input(chan, binder, cont):
-                new_binder = bind(binder)
-                env2 = dict(env)
-                env2[binder] = new_binder
-                return Input(env.get(chan, chan), new_binder, rename(cont, env2), pos=q.pos)
-            case New(binder, annot, cont):
-                new_binder = bind(binder)
-                env2 = dict(env)
-                env2[binder] = new_binder
-                return New(new_binder, annot, rename(cont, env2), pos=q.pos)
-        raise TypeError(f"not a process: {q!r}")
-
-    def bind(binder: str) -> str:
-        name = binder if binder not in used else fresh(binder)
+    def bind(q: Process, env: dict[str, str]) -> tuple[str, dict[str, str]]:
+        binder = name = q.binder
+        if binder in used:
+            n = counters.get(binder, 0)
+            while name in used or name in present:
+                n += 1
+                name = f"{binder}{n}"
+            counters[binder] = n
         used.add(name)
-        return name
+        # A kept binder was unused, so no outer scope maps it: share the map.
+        return name, env if name == binder else {**env, binder: name}
 
-    return rename(p, {})
+    return _rebuild(p, {}, bind)
 
 
 def subprocesses(p: Process) -> Iterator[Process]:

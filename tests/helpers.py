@@ -7,7 +7,7 @@ from sessionpi.contexts import VOID, DeclContext, Pair, Single
 from sessionpi.equality import unfold
 from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
 from sessionpi.semantics import advance_type
-from sessionpi.syntax import End, Qualified, Rec, Recv, Send, TypeVar
+from sessionpi.syntax import CaptureError, End, Qualified, Rec, Recv, Send, TypeVar, free_vars
 
 # ---------------------------------------------------------------------------
 # Bounded tree expansion: an equality oracle independent of type_equal
@@ -161,6 +161,52 @@ def reference_rename(p, avoid=frozenset()):
                 return New(fresh, annot, rename(cont, {**env, binder: fresh}), pos=q.pos)
 
     return rename(p, {})
+
+
+# ---------------------------------------------------------------------------
+# Reference substitution: one recursive call per node
+# ---------------------------------------------------------------------------
+
+def reference_substitute(p, replacement: str, target: str):
+    """``substitute`` as it was before it shared its walk with the renamer:
+    one recursive call per node, stopping under a binder of ``target``."""
+    if replacement == target:
+        return p
+
+    def sub(q):
+        match q:
+            case Zero():
+                return q
+            case Par(left, right):
+                return Par(sub(left), sub(right), pos=q.pos)
+            case Repl(body):
+                return Repl(sub(body), pos=q.pos)
+            case Output(chan, arg, cont):
+                return Output(
+                    replacement if chan == target else chan,
+                    replacement if arg == target else arg,
+                    sub(cont),
+                    pos=q.pos,
+                )
+            case Input(chan, binder, cont):
+                chan2 = replacement if chan == target else chan
+                if binder == target:
+                    return Input(chan2, binder, cont, pos=q.pos)
+                if binder == replacement and target in free_vars(cont):
+                    raise CaptureError(
+                        f"substituting {replacement} for {target} would be captured by {binder}"
+                    )
+                return Input(chan2, binder, sub(cont), pos=q.pos)
+            case New(binder, annot, cont):
+                if binder == target:
+                    return q
+                if binder == replacement and target in free_vars(cont):
+                    raise CaptureError(
+                        f"substituting {replacement} for {target} would be captured by {binder}"
+                    )
+                return New(binder, annot, sub(cont), pos=q.pos)
+
+    return sub(p)
 
 
 # ---------------------------------------------------------------------------

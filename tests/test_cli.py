@@ -27,6 +27,40 @@ def fixture_args(name):
     return str(root / "process.pi"), "--ctx", str(root / "context.ctx")
 
 
+def test_help_names_every_exit_code(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in (
+        "0 accept/agree",
+        "1 reject/diverge/mismatch",
+        "2 usage, parse or input error",
+        "a missing or unreadable file",
+        "a file that is not UTF-8",
+        "a context error such as a void entry given to ``oracle``",
+        "input too deep to process",
+        "3 inconclusive oracle verdict",
+    ):
+        assert phrase in text
+
+
+def test_void_entry_given_to_oracle_is_a_context_error(capsys, tmp_path):
+    proc = tmp_path / "p.pi"
+    ctx = tmp_path / "c.ctx"
+    proc.write_text("x!x.0\n")
+    ctx.write_text("x : void\n")
+    code, _, err = run_cli(capsys, "oracle", str(proc), "--ctx", str(ctx))
+    assert code == 2
+    assert err.startswith("context error: ")
+
+
+def test_missing_file_is_an_input_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "check", str(tmp_path / "absent.pi"))
+    assert code == 2
+    assert err.startswith("io error: ")
+
+
 def test_check_accepts_poll_fixture(capsys):
     code, out, _ = run_cli(capsys, "check", *fixture_args("poll"))
     assert code == 0

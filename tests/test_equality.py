@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sessionpi import (
     ChanType,
     Qual,
@@ -36,6 +38,26 @@ def test_unfold_two_nested_binders():
     inner = Rec("b", Qualified(Qual.LIN, Send(UN_END, TypeVar("b"))))
     expected = Qualified(Qual.LIN, Send(UN_END, inner))
     assert unfold(t) == expected
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        Rec("a", TypeVar("a")),
+        Rec("a", Rec("b", TypeVar("a"))),
+        Rec("a", Rec("b", TypeVar("b"))),
+        Rec("a", Rec("b", Rec("c", TypeVar("a")))),
+    ],
+    ids=str,
+)
+def test_non_contractive_type_built_in_code_is_refused(s):
+    # The parser refuses these; a library caller can still build them.
+    with pytest.raises(ValueError, match="non-contractive"):
+        unfold(s)
+    with pytest.raises(ValueError, match="non-contractive"):
+        type_equal(s, UN_END)
+    with pytest.raises(ValueError, match="non-contractive"):
+        type_equal(ChanType(UN_END, s), ChanType(UN_END, UN_END))
 
 
 def test_interchangeable_recursive_pair_types():

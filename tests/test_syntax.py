@@ -35,8 +35,13 @@ from sessionpi.gen import (
     poll_service_text,
 )
 from sessionpi.parser import _Parser
-from sessionpi.syntax import _scan, render
-from tests.helpers import reference_rename, reference_str, reference_validate
+from sessionpi.syntax import CaptureError, _scan, render
+from tests.helpers import (
+    reference_rename,
+    reference_str,
+    reference_substitute,
+    reference_validate,
+)
 
 
 def test_parse_zero():
@@ -367,7 +372,7 @@ def test_barendregt_agrees_with_reference_on_random_terms():
         ctx = gen_safe_context(rng, names)
         p = gen_process(rng, names, size=4 + i % 9)
         for term in (p, Par(p, p)):
-            for avoid in (frozenset(), ctx.names()):
+            for avoid in (frozenset(), ctx.names(), _scan(term).binders):
                 renamed = barendregt_rename(term, avoid=avoid)
                 expected = reference_rename(term, avoid)
                 assert renamed == expected and str(renamed) == str(expected)
@@ -377,6 +382,73 @@ def test_barendregt_agrees_with_reference_on_random_terms():
                     renamed_count += 1
     # Both the clash-free path and the renaming path are exercised.
     assert kept > 1000 and renamed_count > 1000
+
+
+def test_substitute_agrees_with_reference_on_random_terms():
+    # Every (replacement, target) pair over a term's names, on the term
+    # alone, next to itself (binders clash) and renamed apart (as reduction
+    # substitutes into it).
+    rng = random.Random(23)
+    rewritten = captured = 0
+    for i in range(150):
+        p = gen_process(rng, ["x", "y", "z"][: 1 + i % 3], size=4 + i % 9)
+        for term in (p, Par(p, p), barendregt_rename(Par(p, p))):
+            names = sorted(_scan(term).names)
+            for replacement in names:
+                for target in names:
+                    try:
+                        expected = reference_substitute(term, replacement, target)
+                    except CaptureError as err:
+                        with pytest.raises(CaptureError) as got:
+                            substitute(term, replacement, target)
+                        assert str(got.value) == str(err)
+                        captured += 1
+                        continue
+                    result = substitute(term, replacement, target)
+                    assert result == expected
+                    rewritten += result != term
+    # Both rewriting and capture are exercised.
+    assert rewritten > 2000 and captured > 1000
+
+
+def _prefix_chain(node):
+    """The prefixes of a chain of one-child nodes, outermost first, read
+    without recursion (``==`` and ``hash`` on processes still recurse)."""
+    out = []
+    while not isinstance(node, Zero):
+        out.append(node)
+        node = node.cont
+    return out
+
+
+def test_barendregt_renames_a_deep_chain_of_one_binder():
+    # Built directly: the parser refuses input this deep.
+    p = Zero()
+    for _ in range(10_000):
+        p = Input("x", "y", Output("y", "v", p))
+    chain = _prefix_chain(barendregt_rename(p))
+    assert len(chain) == 20_000
+    for i in range(10_000):
+        binder = f"y{i}" if i else "y"
+        inp, out = chain[2 * i], chain[2 * i + 1]
+        assert (inp.chan, inp.binder) == ("x", binder)
+        assert (out.chan, out.arg) == (binder, "v")
+
+
+def test_substitute_rewrites_a_deep_chain():
+    # The last receive rebinds the target, so only the tail keeps it.
+    p = Input("x", "x", Output("x", "x", Zero()))
+    for i in range(10_000):
+        p = Input("x", f"y{i}", Output(f"y{i}", "x", p))
+    chain = _prefix_chain(substitute(p, "z", "x"))
+    assert len(chain) == 20_002
+    for i in range(10_000):
+        inp, out = chain[2 * i], chain[2 * i + 1]
+        binder = f"y{9_999 - i}"
+        assert (inp.chan, inp.binder) == ("z", binder)
+        assert (out.chan, out.arg) == (binder, "z")
+    inp, out = chain[-2:]
+    assert (inp.chan, inp.binder, out.chan, out.arg) == ("z", "x", "x", "x")
 
 
 def test_scan_handles_a_deep_clash_free_chain():
