@@ -348,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"input is not UTF-8: {err}", file=sys.stderr)
         return 2
     except RecursionError as err:
-        # Checking, the oracle and process equality recurse on depth.
+        # Checking and the oracle recurse on depth.
         print(f"input too deep: {err}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):

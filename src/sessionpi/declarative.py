@@ -42,6 +42,7 @@ from .syntax import (
     Send,
     Type,
     Zero,
+    free_vars,
     is_endpoint,
 )
 
@@ -50,7 +51,6 @@ from .syntax import (
 class Split:
     left: DeclContext
     right: DeclContext
-    origin: DeclContext
 
 
 class Verdict(enum.Enum):
@@ -118,7 +118,7 @@ def enumerate_splits(
     options are distinct, so no split repeats and none needs filtering."""
     all_names = i.names()
     if not all_names:
-        yield Split(i, i, i)
+        yield Split(i, i)
         return
     names = tuple(sorted(all_names))
     left_names = all_names if left_names is None else left_names
@@ -131,7 +131,6 @@ def enumerate_splits(
         yield Split(
             i.subcontext(tuple(itertools.compress(names, lefts)), tuple(filter(None, lefts))),
             i.subcontext(tuple(itertools.compress(names, rights)), tuple(filter(None, rights))),
-            i,
         )
 
 
@@ -164,83 +163,17 @@ def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
 
 
 class _Search:
-    """One search: the node budget still ``left``, the memo of decided goals
-    and what it knows of each subterm.  Recursive calls sit in plain loops,
-    not in ``any(...)``, so that each process level costs two frames."""
+    """One search: the node budget still ``left`` and the memo of decided
+    goals.  Recursive calls sit in plain loops, not in ``any(...)``, so
+    that each process level costs two frames."""
 
     def __init__(self, bound: int):
         self.left = bound
         self.memo: dict[tuple, bool] = {}
-        # id of each subterm met -> (the subterm, its free names, its shape),
-        # where equal subterms, and only they, have the same shape number.
-        # Keeping the subterm keeps its id unique.
-        self.facts: dict[int, tuple[Process, frozenset[str], int]] = {}
-        self.shapes: dict[tuple, int] = {}
-
-    def _facts(self, p: Process) -> tuple[Process, frozenset[str], int]:
-        facts = self.facts.get(id(p))
-        if facts is None:
-            self._fill(p)
-            facts = self.facts[id(p)]
-        return facts
-
-    def free_names(self, p: Process) -> frozenset[str]:
-        """``free_vars(p)``, read from the table."""
-        return self._facts(p)[1]
-
-    def _fill(self, p: Process):
-        """Free names and shape of every subterm of ``p`` not met yet, in
-        one post-order walk on an explicit stack.  A node's free names are
-        built from its children's, and are one of theirs when it adds and
-        binds nothing new; its shape is numbered by its class, its names
-        and its children's shapes."""
-        table, shapes = self.facts, self.shapes
-        stack = [(p, False)]
-        while stack:
-            q, ready = stack.pop()
-            if id(q) in table:
-                continue
-            cls = type(q)
-            if not ready:
-                stack.append((q, True))
-                if cls is Par:
-                    stack.append((q.right, False))
-                    stack.append((q.left, False))
-                elif cls is Repl:
-                    stack.append((q.body, False))
-                elif cls is not Zero:
-                    stack.append((q.cont, False))
-                continue
-            if cls is Zero:
-                free, shape = frozenset(), (cls,)
-            elif cls is Par:
-                _, left, l_shape = table[id(q.left)]
-                _, right, r_shape = table[id(q.right)]
-                free = left if right <= left else right if left <= right else left | right
-                shape = (cls, l_shape, r_shape)
-            elif cls is Repl:
-                _, free, body_shape = table[id(q.body)]
-                shape = (cls, body_shape)
-            else:
-                _, free, cont_shape = table[id(q.cont)]
-                if cls is Output:
-                    if q.chan not in free or q.arg not in free:
-                        free = free | {q.chan, q.arg}
-                    shape = (cls, q.chan, q.arg, cont_shape)
-                else:
-                    if q.binder in free:
-                        free = free - {q.binder}
-                    if cls is Input:
-                        if q.chan not in free:
-                            free = free | {q.chan}
-                        shape = (cls, q.chan, q.binder, cont_shape)
-                    else:
-                        shape = (cls, q.binder, q.annot, cont_shape)
-            table[id(q)] = (q, free, shapes.setdefault(shape, len(shapes)))
 
     def derivable(self, i: DeclContext, p: Process) -> bool:
         """Probe the memo once; a goal not decided yet costs one node."""
-        key = (i.canonical(), self._facts(p)[2])
+        key = (i.canonical(), p)
         result = self.memo.get(key)
         if result is None:
             self.left -= 1
@@ -256,7 +189,7 @@ class _Search:
             case Repl(body):
                 return is_un_decl_context(i) and self.derivable(i, body)
             case Par(left, right):
-                for split in enumerate_splits(i, self.free_names(left), self.free_names(right)):
+                for split in enumerate_splits(i, free_vars(left), free_vars(right)):
                     if self.derivable(split.left, left) and self.derivable(split.right, right):
                         return True
                 return False
@@ -273,7 +206,7 @@ class _Search:
                         return True
                 return False
             case Output(chan, arg, body):
-                for split in enumerate_splits(i, {arg}, self.free_names(body) | {chan}):
+                for split in enumerate_splits(i, {arg}, free_vars(body) | {chan}):
                     t = split.right.get(chan)
                     if t is None:
                         continue

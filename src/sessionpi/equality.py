@@ -129,19 +129,34 @@ def _ep_eq(s1: Endpoint, s2: Endpoint, assumed: frozenset) -> bool:
 
 
 def dual(s: Endpoint) -> Endpoint:
-    """Swap send/receive at every level, keeping qualifiers and payloads."""
+    """Swap send/receive along the carrier, keeping qualifiers and payloads.
+
+    A recursion variable in a payload must go on naming its ``rec`` type, so
+    the enclosing ``rec`` types replace their variables in payloads (Gay,
+    Thiemann & Vasconcelos, PLACES 2020); without such a variable this is
+    the plain swap, and returns the same interned node.
+    """
+    return _dual(s, {})
+
+
+def _dual(s: Endpoint, recs: dict[str, Endpoint]) -> Endpoint:
     match s:
         case Qualified(q, Recv(payload, cont)):
-            return Qualified(q, Send(payload, dual(cont)))
+            return Qualified(q, Send(_close(payload, recs), _dual(cont, recs)))
         case Qualified(q, Send(payload, cont)):
-            return Qualified(q, Recv(payload, dual(cont)))
-        case Qualified(_, End()):
-            return s
-        case TypeVar(_):
+            return Qualified(q, Recv(_close(payload, recs), _dual(cont, recs)))
+        case Qualified(_, End()) | TypeVar(_):
             return s
         case Rec(var, body):
-            return Rec(var, dual(body))
+            return Rec(var, _dual(body, {**recs, var: _close(s, recs)}))
     raise TypeError(f"not an endpoint type: {s!r}")
+
+
+def _close(t: Type, recs: dict[str, Endpoint]) -> Type:
+    """``t`` with the variables of ``recs`` replaced by their closed types."""
+    for name, closed in recs.items():
+        t = _subst_in_type(t, name, closed)
+    return t
 
 
 def head_qual(s: Endpoint) -> Qual:

@@ -202,20 +202,3 @@ def closed_session() -> tuple[Context, Process]:
         "new c: <lin ?(un end).un end, lin !(un end).un end>. (c!v.0 | c?(u).0)"
     )
 
-
-def accepted_family(count: int) -> list[tuple[Context, Process]]:
-    """At least ``count`` accepted (context, process) pairs, deterministic."""
-    builders = [
-        lambda i: poll_system(1 + i % 4),
-        lambda i: poll_system(1 + i % 4, swapped=True),
-        lambda i: lin_pingpong(),
-        lambda i: un_server(1 + i % 4),
-        lambda i: delegation(),
-        lambda i: closed_session(),
-    ]
-    out = []
-    i = 0
-    while len(out) < count:
-        out.append(builders[i % len(builders)](i))
-        i += 1
-    return out

@@ -136,23 +136,6 @@ def congruence_steps(p: Process) -> list[RewriteStep]:
     return steps
 
 
-def invert(step: RewriteStep, source: Process) -> Optional[Process]:
-    """Apply ``step.rule`` at ``step.path`` in the reverse direction.
-
-    Returns the rewritten process, or None when the reverse direction does
-    not apply there (the two garbage-collection rules only erase).
-    """
-    q = get_at(step.result, step.path)
-    want = {"LR": "RL", "RL": "LR"}[step.direction]
-    if step.rule in ("par-comm", "res-swap"):
-        want = step.direction  # self-inverse laws
-    for rule, direction, replacement in _local_steps(q):
-        candidate = replace_at(step.result, step.path, replacement)
-        if rule == step.rule and direction == want and candidate == source:
-            return candidate
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 
 class Qual(enum.Enum):
@@ -166,58 +166,94 @@ Pos = tuple  # (line, column), recorded for diagnostics only
 
 
 class _Node:
-    """Base of the process nodes: they print in concrete syntax."""
+    """Base of the process nodes: they print in concrete syntax, and own
+    their hash and free names, which ``_fill`` sets on first use rather than
+    at construction.  ``==`` and ``hash`` ignore ``pos``; neither recurses.
+    """
+
+    _hash: Optional[int] = None
+    _free: Optional[frozenset[str]] = None
 
     def __str__(self) -> str:
         return render(self)
 
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _fill(self)
+        return self._hash
 
-@dataclass(frozen=True)
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            cls, ha, hb = type(a), a._hash, b._hash
+            if cls is not type(b) or ha != hb and ha is not None and hb is not None:
+                return False
+            if cls is Par:
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif cls is Repl:
+                stack.append((a.body, b.body))
+            elif cls is not Zero:
+                if _labels(a) != _labels(b):
+                    return False
+                stack.append((a.cont, b.cont))
+        return True
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters: a copy refills its own.
+        return {k: v for k, v in vars(self).items() if k not in ("_hash", "_free")}
+
+
+@dataclass(frozen=True, eq=False)
 class Zero(_Node):
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Par(_Node):
     left: "Process"
     right: "Process"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Repl(_Node):
     body: "Process"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Output(_Node):
     """``chan!arg.cont``: send the variable ``arg`` on ``chan``."""
 
     chan: str
     arg: str
     cont: "Process"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Input(_Node):
     """``chan?(binder).cont``: receive on ``chan``, binding ``binder`` in ``cont``."""
 
     chan: str
     binder: str
     cont: "Process"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class New(_Node):
     """``new binder: annot. cont``: restriction with a type annotation."""
 
     binder: str
     annot: Type
     cont: "Process"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    pos: Optional[Pos] = field(default=None, repr=False)
 
 
 Process = Union[Zero, Par, Repl, Output, Input, New]
@@ -339,8 +375,60 @@ def _scan(p: Process) -> _Scan:
     return _Scan(free, binders, repeated)
 
 
+def _labels(q: Process) -> tuple:
+    """The names, and the annotation, of a prefix or restriction node."""
+    if type(q) is New:
+        return q.binder, q.annot
+    return q.chan, q.arg if type(q) is Output else q.binder
+
+
+def _fill(p: Process) -> None:
+    """Set the hash and free names of ``p`` and of each subterm that lacks
+    them, children before parents, on an explicit stack.  A node's facts
+    come from its children's, and its free names are one of theirs when it
+    adds and binds nothing new.  A filled subterm is not entered again."""
+    store = object.__setattr__
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        if q._hash is not None:
+            stack.pop()
+            continue
+        cls = type(q)
+        if cls is Zero:
+            free, key = frozenset(), (cls,)
+        elif cls is Par:
+            left, right = q.left, q.right
+            if left._hash is None or right._hash is None:
+                stack += (right, left)
+                continue
+            l_free, r_free = left._free, right._free
+            free = l_free if r_free <= l_free else r_free if l_free <= r_free else l_free | r_free
+            key = (cls, left._hash, right._hash)
+        else:
+            child = q.body if cls is Repl else q.cont
+            if child._hash is None:
+                stack.append(child)
+                continue
+            free = child._free
+            if cls is Repl:
+                key = (cls, child._hash)
+            else:
+                key = (cls, *_labels(q), child._hash)
+                if cls is not Output and q.binder in free:
+                    free = free - {q.binder}
+                used = (q.chan, q.arg) if cls is Output else (q.chan,) if cls is Input else ()
+                if not free.issuperset(used):
+                    free = free.union(used)
+        stack.pop()
+        store(q, "_free", free)
+        store(q, "_hash", hash(key))
+
+
 def free_vars(p: Process) -> frozenset[str]:
-    return frozenset(_scan(p).free)
+    if p._free is None:
+        _fill(p)
+    return p._free
 
 
 def _rebuild(p: Process, env: dict[str, str], bind: Callable) -> Process:
@@ -419,6 +507,9 @@ def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()
     the original name with a numeric suffix; counters never reuse a name, so
     the scheme is deterministic and idempotent.
     """
+    # One scan, not the nodes' cached free names: filling them would give
+    # every node of a long ``|`` spine its own set of the names below it,
+    # quadratic memory on a term that only needed the clash test.
     scan = _scan(p)
     binders = scan.binders
     if not scan.repeated and binders.isdisjoint(scan.free) and binders.isdisjoint(avoid):
@@ -441,13 +532,3 @@ def barendregt_rename(p: Process, avoid: frozenset[str] | set[str] = frozenset()
 
     return _rebuild(p, {}, bind)
 
-
-def subprocesses(p: Process) -> Iterator[Process]:
-    """Preorder traversal of a process tree."""
-    yield p
-    match p:
-        case Par(left, right):
-            yield from subprocesses(left)
-            yield from subprocesses(right)
-        case Repl(body) | Output(_, _, body) | Input(_, _, body) | New(_, _, body):
-            yield from subprocesses(body)

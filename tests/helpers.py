@@ -2,12 +2,95 @@
 
 from __future__ import annotations
 
-from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, type_check
+import collections
+from typing import Iterator, Optional
+
+from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, syntax, type_check
 from sessionpi.contexts import VOID, DeclContext, Pair, Single
 from sessionpi.equality import unfold
-from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
-from sessionpi.semantics import advance_type
-from sessionpi.syntax import CaptureError, End, Qualified, Rec, Recv, Send, TypeVar, free_vars
+from sessionpi.gen import (
+    closed_session,
+    delegation,
+    lin_pingpong,
+    poll_client_text,
+    poll_context_text,
+    poll_service_text,
+    poll_system,
+    un_server,
+)
+from sessionpi.semantics import RewriteStep, _local_steps, advance_type, get_at, replace_at
+from sessionpi.syntax import CaptureError, End, Process, Qualified, Rec, Recv, Send, TypeVar, free_vars
+
+# ---------------------------------------------------------------------------
+# Process walks: subterms, structural equality, and counting node fills
+# ---------------------------------------------------------------------------
+
+def subprocesses(p: Process) -> Iterator[Process]:
+    """Preorder traversal of a process tree."""
+    yield p
+    match p:
+        case Par(left, right):
+            yield from subprocesses(left)
+            yield from subprocesses(right)
+        case Repl(body) | Output(_, _, body) | Input(_, _, body) | New(_, _, body):
+            yield from subprocesses(body)
+
+
+def reference_equal(p: Process, q: Process) -> bool:
+    """Structural equality, one recursive call per node, ignoring ``pos``:
+    the reference that the explicit-stack ``==`` of process nodes must match."""
+    if type(p) is not type(q):
+        return False
+    match p:
+        case Zero():
+            return True
+        case Par(left, right):
+            return reference_equal(left, q.left) and reference_equal(right, q.right)
+        case Repl(body):
+            return reference_equal(body, q.body)
+        case Output(chan, arg, cont):
+            return (chan, arg) == (q.chan, q.arg) and reference_equal(cont, q.cont)
+        case Input(chan, binder, cont):
+            return (chan, binder) == (q.chan, q.binder) and reference_equal(cont, q.cont)
+        case New(binder, annot, cont):
+            return binder == q.binder and annot is q.annot and reference_equal(cont, q.cont)
+
+
+def count_fills(monkeypatch) -> collections.Counter:
+    """Count, by node id, the hashes that process nodes are given from now
+    on.  A data descriptor on ``_Node`` sees each store, since the fill
+    stores through ``object.__setattr__``; the counted nodes must be kept
+    alive for their ids to stay theirs."""
+    fills: collections.Counter = collections.Counter()
+
+    class Counted:
+        def __get__(self, node, cls):
+            return None if node is None else node.__dict__.get("_hash")
+
+        def __set__(self, node, value):
+            fills[id(node)] += 1
+            node.__dict__["_hash"] = value
+
+    monkeypatch.setattr(syntax._Node, "_hash", Counted())
+    return fills
+
+
+def invert(step: RewriteStep, source: Process) -> Optional[Process]:
+    """Apply ``step.rule`` at ``step.path`` in the reverse direction.
+
+    Returns the rewritten process, or None when the reverse direction does
+    not apply there (the two garbage-collection rules only erase).
+    """
+    q = get_at(step.result, step.path)
+    want = {"LR": "RL", "RL": "LR"}[step.direction]
+    if step.rule in ("par-comm", "res-swap"):
+        want = step.direction  # self-inverse laws
+    for rule, direction, replacement in _local_steps(q):
+        candidate = replace_at(step.result, step.path, replacement)
+        if rule == step.rule and direction == want and candidate == source:
+            return candidate
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Bounded tree expansion: an equality oracle independent of type_equal
@@ -64,6 +147,24 @@ def retyped(i: DeclContext, chan: str) -> DeclContext:
     advances one step; a restricted channel (not in ``i``, since terms are
     renamed apart from it) leaves ``i`` unchanged."""
     return i.set(chan, advance_type(i.get(chan))) if chan in i else i
+
+
+def accepted_family(count: int) -> list:
+    """At least ``count`` accepted (context, process) pairs, deterministic."""
+    builders = [
+        lambda i: poll_system(1 + i % 4),
+        lambda i: poll_system(1 + i % 4, swapped=True),
+        lambda i: lin_pingpong(),
+        lambda i: un_server(1 + i % 4),
+        lambda i: delegation(),
+        lambda i: closed_session(),
+    ]
+    out = []
+    i = 0
+    while len(out) < count:
+        out.append(builders[i % len(builders)](i))
+        i += 1
+    return out
 
 
 def accepted(ctx, p) -> bool:

@@ -24,7 +24,6 @@ from sessionpi.contexts import (
 )
 from sessionpi.declarative import Verdict, derivable
 from sessionpi.gen import (
-    accepted_family,
     gen_process,
     gen_safe_context,
     gen_type,
@@ -36,7 +35,7 @@ from sessionpi.table import evaluate_table
 from sessionpi.equality import type_equal, unfold
 from sessionpi import context_equal
 from tests.conftest import load_fixture
-from tests.helpers import expansion_equal, retyped
+from tests.helpers import accepted_family, expansion_equal, retyped
 
 
 def _verdict(num: int, ok: bool, detail: str):

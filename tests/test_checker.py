@@ -25,7 +25,6 @@ from sessionpi import (
     type_check,
 )
 from sessionpi.gen import (
-    accepted_family,
     delegation,
     gen_process,
     gen_safe_context,
@@ -34,7 +33,7 @@ from sessionpi.gen import (
     un_server,
 )
 from tests.conftest import fixture_names, load_fixture
-from tests.helpers import deep_inputs
+from tests.helpers import accepted_family, deep_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
 

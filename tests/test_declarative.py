@@ -12,7 +12,6 @@ from sessionpi import (
     type_check,
 )
 from sessionpi.contexts import DeclContext, is_un_type, to_decl_context
-from sessionpi import declarative
 from sessionpi.declarative import (
     Verdict,
     derivable,
@@ -21,9 +20,9 @@ from sessionpi.declarative import (
 )
 from sessionpi.equality import head_qual
 from sessionpi.gen import gen_process, gen_safe_context, lin_pingpong, poll_system, un_server
-from sessionpi.syntax import Qual, free_vars, is_endpoint, subprocesses
+from sessionpi.syntax import Qual, is_endpoint
 from tests.conftest import load_fixture
-from tests.helpers import use_exhaustive_splits
+from tests.helpers import count_fills, subprocesses, use_exhaustive_splits
 from tests.test_acceptance import U6, _exhaustive_procs
 
 E = parse_type("un end")
@@ -32,12 +31,12 @@ LIN_OUT = parse_type("lin !(un end).un end")
 UN_REC_IN = parse_type("rec a. un ?(un end).a")
 
 
-def _recombines(split) -> bool:
+def _recombines(split, origin) -> bool:
     """Independent recombination check, written against the splitting rules
-    rather than the enumerator: each entry of the origin must be explained
-    by exactly one rule instance."""
-    for name in split.origin.names():
-        t = split.origin.get(name)
+    rather than the enumerator: each entry of ``origin``, the context that
+    was split, must be explained by exactly one rule instance."""
+    for name in origin.names():
+        t = origin.get(name)
         l, r = split.left.get(name), split.right.get(name)
         if is_endpoint(t):
             if head_qual(t) is Qual.UN:
@@ -60,7 +59,7 @@ def _recombines(split) -> bool:
                 ok = (l == t and r == un_side) or (l == un_side and r == t)
         if not ok:
             return False
-    extra = (split.left.names() | split.right.names()) - split.origin.names()
+    extra = (split.left.names() | split.right.names()) - origin.names()
     return not extra
 
 
@@ -82,14 +81,14 @@ def test_split_linear_endpoint_two_ways():
     i = DeclContext([("x", LIN_OUT)])
     splits = list(enumerate_splits(i))
     assert len(splits) == 2
-    assert all(_recombines(s) for s in splits)
+    assert all(_recombines(s, i) for s in splits)
 
 
 def test_split_linear_pair_four_ways():
     i = DeclContext([("x", ChanType(LIN_IN, LIN_OUT))])
     splits = list(enumerate_splits(i))
     assert len(splits) == 4
-    assert all(_recombines(s) for s in splits)
+    assert all(_recombines(s, i) for s in splits)
     shapes = {(str(s.left.get("x")), str(s.right.get("x"))) for s in splits}
     assert (str(ChanType(LIN_IN, LIN_OUT)), "None") in shapes
     assert (str(LIN_IN), str(LIN_OUT)) in shapes
@@ -100,7 +99,7 @@ def test_split_mixed_pair_two_orientations():
     i = DeclContext([("x", ChanType(LIN_IN, E))])
     splits = list(enumerate_splits(i))
     assert len(splits) == 2
-    assert all(_recombines(s) for s in splits)
+    assert all(_recombines(s, i) for s in splits)
     for s in splits:
         sides = {str(s.left.get("x")), str(s.right.get("x"))}
         assert str(ChanType(LIN_IN, E)) in sides and str(E) in sides
@@ -115,7 +114,7 @@ def test_all_splits_recombine_on_random_contexts():
         )
         splits = list(enumerate_splits(i))
         assert len({(s.left.canonical(), s.right.canonical()) for s in splits}) == len(splits)
-        assert all(_recombines(s) for s in splits)
+        assert all(_recombines(s, i) for s in splits)
 
 
 def test_value_axiom():
@@ -208,7 +207,7 @@ def test_split_equal_sided_pair_three_ways():
     i = DeclContext([("x", ChanType(LIN_OUT, LIN_OUT))])
     splits = list(enumerate_splits(i))
     assert len(splits) == 3
-    assert all(_recombines(s) for s in splits)
+    assert all(_recombines(s, i) for s in splits)
 
 
 def _poll_spent(sizes, orders=(False, True)):
@@ -307,34 +306,13 @@ def test_pruned_splits_agree_with_exhaustive_search(monkeypatch):
     assert disagreements == []
 
 
-def test_subterm_table_is_filled_in_one_walk_per_term(monkeypatch):
-    # The free names and shapes of poll_system(300)'s subterms cost one
-    # walk, which enters each of its 913 subterms once.
-    walks, tables = [], []
-    fill = declarative._Search._fill
-
-    def counted(search, p):
-        walks.append(p)
-        tables.append(search.facts)
-        fill(search, p)
-
-    monkeypatch.setattr(declarative._Search, "_fill", counted)
+def test_poll_system_subterms_are_filled_once_by_the_memo(monkeypatch):
+    # The oracle reads each subterm's hash and free names off the node: one
+    # fill of poll_system(300) enters each of its 913 subterms once.
     ctx, p = poll_system(300)
     q = barendregt_rename(p, avoid=ctx.names())
+    fills = count_fills(monkeypatch)
     assert derivable(to_decl_context(ctx), q).spent == 913
-    assert len(walks) == 1 and walks[0] is q
-    assert len(tables[0]) == 913 == sum(1 for _ in subprocesses(q))
-
-
-def test_subterm_facts_agree_with_free_vars_and_equality():
-    rng = random.Random(47)
-    for _ in range(300):
-        p = gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 10))
-        q = gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 10))
-        search = declarative._Search(1)
-        for sub in subprocesses(p):
-            assert search.free_names(sub) == free_vars(sub)
-        shape = search._facts(p)[2]
-        assert (search._facts(q)[2] == shape) == (q == p)
-        # A term equal to p but built apart has p's shape.
-        assert search._facts(parse_process(str(p)))[2] == shape
+    subterms = list(subprocesses(q))
+    assert len(subterms) == 913 == len(fills) == sum(fills.values())
+    assert all(fills[id(sub)] == 1 for sub in subterms)

@@ -4,6 +4,7 @@ import pytest
 
 from sessionpi import (
     ChanType,
+    End,
     Qual,
     Qualified,
     Rec,
@@ -12,6 +13,7 @@ from sessionpi import (
     TypeVar,
     UN_END,
     dual,
+    is_safe_type,
     parse_type,
     type_equal,
     unfold,
@@ -143,6 +145,69 @@ def test_dual_keeps_payloads():
     s = parse_type("lin ?(lin !(un end).un end).un end")
     d = dual(s)
     assert d == parse_type("lin !(lin !(un end).un end).un end")
+
+
+def _naive_dual(s):
+    """Swap send/receive everywhere below ``rec`` binders too, payloads left
+    as they are: wrong once a recursion variable occurs in a payload."""
+    match s:
+        case Qualified(q, Recv(payload, cont)):
+            return Qualified(q, Send(payload, _naive_dual(cont)))
+        case Qualified(q, Send(payload, cont)):
+            return Qualified(q, Recv(payload, _naive_dual(cont)))
+        case Rec(var, body):
+            return Rec(var, _naive_dual(body))
+    return s
+
+
+def _payload_recursive(rng, depth, bound=(), payload=False):
+    """A closed contractive endpoint whose recursion variables may occur in
+    payloads as well as in tail position.  Only a payload may end in
+    ``lin end``, since a pair of ``lin end`` ends is not safe."""
+    leaves = [UN_END, *map(TypeVar, bound)]
+    if payload:
+        leaves.append(Qualified(Qual.LIN, End()))
+    roll = rng.random()
+    if depth <= 0 or roll < 0.15:
+        return rng.choice(leaves)
+    if roll < 0.45:
+        var = rng.choice("ab")  # two names, so inner binders may shadow
+        return Rec(var, _prefix(rng, depth, bound + (var,)))
+    return _prefix(rng, depth, bound)
+
+
+def _prefix(rng, depth, bound):
+    payload = _payload_recursive(rng, depth - 1, bound, payload=True)
+    cont = _payload_recursive(rng, depth - 1, bound)
+    ctor = rng.choice((Recv, Send))
+    return Qualified(rng.choice((Qual.LIN, Qual.UN)), ctor(payload, cont))
+
+
+def test_dual_of_a_recursion_variable_in_a_payload():
+    s = parse_type("rec a. un !(a).a")
+    assert dual(s) is parse_type("rec a. un ?(rec a. un !(a).a).a")
+    assert is_safe_type(ChanType(s, dual(s)))
+    assert not is_safe_type(ChanType(s, _naive_dual(s)))
+
+
+def test_dual_is_safe_and_an_involution_with_payload_recursion():
+    rng = random.Random(64)
+    payload_recursive = naive_unsafe = 0
+    for _ in range(2_000):
+        s = _payload_recursive(rng, 4)
+        assert is_safe_type(ChanType(s, dual(s))), s
+        assert type_equal(dual(dual(s)), s), s
+        if dual(s) is not _naive_dual(s):
+            payload_recursive += 1
+            naive_unsafe += not is_safe_type(ChanType(s, _naive_dual(s)))
+    assert payload_recursive > 300 and naive_unsafe > 100
+
+
+def test_dual_without_payload_recursion_is_the_naive_swap():
+    rng = random.Random(65)
+    for _ in range(500):
+        s = gen_endpoint(rng, depth=3)
+        assert dual(s) is _naive_dual(s)
 
 
 def test_io_head_linear_send_and_receive():

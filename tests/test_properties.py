@@ -20,8 +20,9 @@ from sessionpi import (
 )
 from sessionpi.checker import _Checker
 from sessionpi.contexts import entry_equal, is_un_entry
-from sessionpi.gen import accepted_family, gen_safe_entry
+from sessionpi.gen import gen_safe_entry
 from sessionpi.semantics import congruence_steps
+from tests.helpers import accepted_family
 
 LIN_OUT = parse_type("lin !(un end).un end")
 E = parse_type("un end")

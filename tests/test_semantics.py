@@ -4,12 +4,12 @@ from sessionpi import barendregt_rename, parse_process, parse_type, pretty
 from sessionpi.gen import closed_session, gen_process, poll_system
 from sessionpi.semantics import (
     congruence_steps,
-    invert,
     reduce_step,
     reduce_step_labeled,
     reduce_trace_labeled,
 )
 from sessionpi.syntax import New, Par, Zero
+from tests.helpers import invert, subprocesses
 
 
 def _steps_by_rule(p, rule):
@@ -135,8 +135,6 @@ def test_poll_trace_delegates_then_sets_title_and_date():
 
 
 def _find_new(p, name):
-    from sessionpi.syntax import subprocesses
-
     for q in subprocesses(p):
         if isinstance(q, New) and q.binder.rstrip("0123456789") == name:
             return q

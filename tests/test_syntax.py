@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -25,6 +27,7 @@ from sessionpi import (
     parse_type,
     pretty,
     substitute,
+    type_check,
 )
 from sessionpi.gen import (
     gen_endpoint,
@@ -32,15 +35,20 @@ from sessionpi.gen import (
     gen_safe_context,
     gen_type,
     poll_client_text,
+    poll_context_text,
     poll_service_text,
 )
 from sessionpi.parser import _Parser
 from sessionpi.syntax import CaptureError, _scan, render
+from sessionpi.semantics import congruence_steps
 from tests.helpers import (
+    count_fills,
+    reference_equal,
     reference_rename,
     reference_str,
     reference_substitute,
     reference_validate,
+    subprocesses,
 )
 
 
@@ -510,3 +518,102 @@ def test_parse_too_deep_is_parse_error():
         parse_type(nested)
     with pytest.raises(ParseError, match="input too deep to parse"):
         parse_entry("<" + nested + ", un end>")
+
+
+# ---------------------------------------------------------------------------
+# Process facts: hash, equality and free names, filled in on first use
+# ---------------------------------------------------------------------------
+
+def test_cached_free_names_agree_with_the_scan():
+    # Preorder fills the whole term at its root; postorder fills each
+    # subterm on its own, children first.
+    rng = random.Random(61)
+    for k in range(300):
+        p = gen_process(rng, ["x", "y", "z"], size=rng.randint(1, 12))
+        subterms = list(subprocesses(p))
+        for sub in subterms if k % 2 else reversed(subterms):
+            assert free_vars(sub) == _scan(sub).free
+
+
+def test_a_reparsed_term_is_equal_with_the_same_hash():
+    rng = random.Random(62)
+    for _ in range(200):
+        p = gen_process(rng, ["x", "y"], size=rng.randint(1, 10))
+        q = parse_process(str(p))
+        assert q is not p and q == p and hash(q) == hash(p)
+    # Positions take no part in either.
+    p, q = parse_process("x!y.0 | y?(z).0"), parse_process("  x!y.0   |\n y?(z).0")
+    assert p.right.pos != q.right.pos
+    assert p == q and hash(p) == hash(q)
+
+
+def test_equality_agrees_with_the_recursive_reference():
+    rng = random.Random(63)
+    equal = unequal = 0
+    for _ in range(300):
+        p = gen_process(rng, ["x", "y"], size=rng.randint(1, 8))
+        others = [gen_process(rng, ["x", "y"], size=rng.randint(1, 4)), parse_process(str(p))]
+        others += [step.result for step in congruence_steps(p)]
+        for q in others:
+            want = reference_equal(p, q)
+            assert (p == q) is want and (q == p) is want and (p != q) is not want
+            equal += want
+            unequal += not want
+        # With both hashes filled, unequal hashes reject at once.
+        for q in others:
+            hash(q)
+        hash(p)
+        assert [p == q for q in others] == [reference_equal(p, q) for q in others]
+    assert equal > 300 and unequal > 1_000
+
+
+def test_deep_terms_hash_compare_and_give_free_names():
+    def chain(last):
+        p = Output("c", last, Zero())
+        for _ in range(10_000):
+            p = Output("c", "v", p)
+        return p
+
+    def wide(last):
+        p = Output("c", last, Zero())
+        for _ in range(10_000):
+            p = Par(p, Output("c", "v", Zero()))
+        return p
+
+    for build in (chain, wide):
+        p, q, r = build("w"), build("w"), build("u")
+        assert p == q and hash(p) == hash(q)
+        assert p != r and r != p
+        assert free_vars(p) == {"c", "v", "w"}
+        assert hash(r) != hash(p) and p != r  # rejected by the hashes
+
+
+def test_substitute_fills_each_node_of_a_rebinding_chain_once(monkeypatch):
+    # Each receive rebinds the replacement name, so each one asks whether
+    # the target is free below it: the first question fills the chain, the
+    # rest read it.
+    p = Zero()
+    for _ in range(20_000):
+        p = Input("c", "z", Output("z", "v", p))
+    fills = count_fills(monkeypatch)
+    q = substitute(p, "z", "x")
+    assert q == p and q is not p
+    assert max(fills.values()) == 1 and sum(fills.values()) == 40_000
+
+
+def test_renaming_and_checking_fill_no_node(monkeypatch):
+    ctx = parse_context(poll_context_text(40))
+    p = parse_process(f"{poll_service_text()} | {poll_client_text(40)}")
+    clash = parse_process("x?(y).y!v.0 | x?(y).0")
+    fills = count_fills(monkeypatch)
+    assert type_check(ctx, p, trace=True).accepted
+    assert barendregt_rename(clash) != clash
+    assert not fills
+
+
+def test_copies_refill_their_own_facts():
+    p = parse_process("new x: un end. x!y.0 | y?(z).0")
+    assert free_vars(p) == {"y"}
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q._hash is None and q._free is None
+        assert q == p and hash(q) == hash(p)
