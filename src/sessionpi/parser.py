@@ -17,12 +17,19 @@ than ``|``; parenthesise a parallel there.  Recursive types must be
 contractive and closed.  The parser checks both as it reads, and reports the
 offending token: an unbound type variable, or the ``rec`` whose body, past its
 own chain of ``rec`` binders, is its own variable.
+
+Each input is scanned once: one ``findall`` splits it into parts, each a
+token, newline or comment with the blanks before it, and their running
+lengths give where every token ends.  The line and column of a token are
+worked out from that offset only when it becomes a process node or an error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from bisect import bisect
+from itertools import accumulate, compress, repeat
+from typing import Callable
 
 from .syntax import (
     ChanType,
@@ -56,136 +63,115 @@ class ParseError(Exception):
 
 
 _KEYWORDS = frozenset({"new", "lin", "un", "rec", "end", "void"})
+_PUNCT = "!?().|:,<>0"  # the one-character tokens, the process 0 among them
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*+")
+# A token's kind is its text, except for identifiers, ``◦`` and the end.
+_KINDS = {text: text for text in (*_KEYWORDS, *_PUNCT)} | {"◦": "void", "": "eof"}
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<nl>\n)
-    | (?P<comment>\#[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<void>◦)
-    | (?P<punct>[!?().|:,<>]|0)
-    """,
-    re.VERBOSE,
-)
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident', keyword, 'void', a punctuation char, '0', or 'eof'
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(src: str) -> list[Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group()
-        if m.lastgroup == "ws" or m.lastgroup == "comment":
-            pass
-        elif m.lastgroup == "nl":
-            line += 1
-            col = 0
-        elif m.lastgroup == "ident":
-            kind = text if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-        elif m.lastgroup == "void":
-            tokens.append(Token("void", text, line, col))
-        else:
-            tokens.append(Token(text, text, line, col))
-        col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# A part is one token, newline or comment, with the blanks before it.  The
+# commonest alternatives come first, and nothing in a part backtracks.
+_PART = rf"[ \t\r]*+(?:[{re.escape(_PUNCT)}◦]|{_IDENT_RE.pattern}|\n|\#[^\n]*+)"
+_PART_RE = re.compile(_PART)
+_PARTS_RE = re.compile(rf"(?:{_PART})*[ \t\r]*")  # the unbroken run of parts from the start
+_NEWLINE_RE = re.compile(r"\n")
 
 
 class _Parser:
     def __init__(self, src: str, what: str):
-        self.tokens = _tokenize(src)
-        self.index = 0
+        parts = _PART_RE.findall(src)
+        ends = list(accumulate(map(len, parts)))
+        self.newlines = [m.start() for m in _NEWLINE_RE.finditer(src)]
+        if (ends[-1] if ends else 0) < len(src):
+            # findall skips what no part matches; blanks at the end are fine.
+            stop = _PARTS_RE.match(src).end()
+            if stop < len(src):
+                self.texts, self.ends = [""], [stop]  # an empty token there, for pos
+                self.fail(f"unexpected character {src[stop]!r}", 0)
+        texts = list(map(str.lstrip, parts, repeat(" \t\r")))
+        if self.newlines or "#" in src:
+            keep = [text != "\n" and text[0] != "#" for text in texts]
+            texts, ends = list(compress(texts, keep)), list(compress(ends, keep))
+        texts.append("")
+        ends.append(len(src))
+        self.texts = texts
+        self.ends = ends  # where each token ends in ``src``
+        self.kinds = list(map(_KINDS.get, texts, repeat("ident")))
+        self.i = 0  # the next token
         self.what = what  # what the types read are, in error messages
         self.scope: list[str] = []  # recursion variables bound here
         self.tail: str | None = None  # the last endpoint read, past its recs, if a variable
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def pos(self, i: int) -> tuple[int, int]:
+        """The line and column where token ``i`` starts, worked out only for
+        the tokens that become nodes or errors."""
+        offset = self.ends[i] - len(self.texts[i])
+        if not self.newlines:
+            return 1, offset + 1
+        line = bisect(self.newlines, offset)
+        return line + 1, (offset - self.newlines[line - 1] if line else offset + 1)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            self.fail(f"expected {kind!r}, found {self.texts[i] or 'end of input'!r}")
+        self.i = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, i: int | None = None):
+        raise ParseError(message, *self.pos(self.i if i is None else i))
 
     # -- processes ---------------------------------------------------------
 
     def process(self) -> Process:
         left = self.factor()
-        while self.at("|"):
-            tok = self.next()
-            right = self.factor()
-            left = Par(left, right, pos=(tok.line, tok.column))
+        while self.kinds[self.i] == "|":
+            i = self.i
+            self.i += 1
+            left = Par(left, self.factor(), pos=self.pos(i))
         return left
 
     def factor(self) -> Process:
-        tok = self.peek()
-        if tok.kind == "0":
-            self.next()
-            return Zero(pos=(tok.line, tok.column))
-        if tok.kind == "!":
-            self.next()
-            return Repl(self.factor(), pos=(tok.line, tok.column))
-        if tok.kind == "(":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        self.i = i + 1
+        if kind == "0":
+            return Zero(pos=self.pos(i))
+        if kind == "!":
+            return Repl(self.factor(), pos=self.pos(i))
+        if kind == "(":
             inner = self.process()
             self.expect(")")
             return inner
-        if tok.kind == "new":
-            self.next()
-            binder = self.expect("ident").text
+        if kind == "new":
+            binder = self.expect("ident")
             self.expect(":")
             annot = self.type_()
             self.expect(".")
-            return New(binder, annot, self.factor(), pos=(tok.line, tok.column))
-        if tok.kind == "ident":
-            self.next()
-            if self.at("!"):
-                self.next()
-                arg = self.expect("ident").text
+            return New(binder, annot, self.factor(), pos=self.pos(i))
+        if kind == "ident":
+            subject = self.texts[i]
+            if self.kinds[i + 1] == "!":
+                self.i += 1
+                arg = self.expect("ident")
                 self.expect(".")
-                return Output(tok.text, arg, self.factor(), pos=(tok.line, tok.column))
-            if self.at("?"):
-                self.next()
+                return Output(subject, arg, self.factor(), pos=self.pos(i))
+            if self.kinds[i + 1] == "?":
+                self.i += 1
                 self.expect("(")
-                binder = self.expect("ident").text
+                binder = self.expect("ident")
                 self.expect(")")
                 self.expect(".")
-                return Input(tok.text, binder, self.factor(), pos=(tok.line, tok.column))
+                return Input(subject, binder, self.factor(), pos=self.pos(i))
             self.fail("expected '!' or '?' after channel name")
-        self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
+        self.fail(f"expected a process, found {self.texts[i] or 'end of input'!r}", i)
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> Type:
-        if self.at("<"):
-            self.next()
+        if self.kinds[self.i] == "<":
+            self.i += 1
             left = self.endpoint()
             self.expect(",")
             right = self.endpoint()
@@ -194,16 +180,15 @@ class _Parser:
         return self.endpoint()
 
     def endpoint(self) -> Endpoint:
-        tok = self.peek()
-        if tok.kind in ("lin", "un"):
-            self.next()
-            qual = Qual.LIN if tok.kind == "lin" else Qual.UN
+        i = self.i
+        kind = self.kinds[i]
+        self.i = i + 1
+        if kind == "lin" or kind == "un":
             pre = self.pre_type()
             self.tail = None
-            return Qualified(qual, pre)
-        if tok.kind == "rec":
-            self.next()
-            var = self.expect("ident").text
+            return Qualified(Qual.LIN if kind == "lin" else Qual.UN, pre)
+        if kind == "rec":
+            var = self.expect("ident")
             self.expect(".")
             self.scope.append(var)
             body = self.endpoint()
@@ -213,37 +198,37 @@ class _Parser:
                 self.fail(
                     f"non-contractive recursive type in {self.what}: "
                     f"rec {var}. ... resolves to one of its own binders",
-                    tok,
+                    i,
                 )
             return Rec(var, body)
-        if tok.kind == "ident":
-            self.next()
-            if tok.text not in self.scope:
-                self.fail(f"unbound type variable {tok.text!r} in {self.what}", tok)
-            self.tail = tok.text
-            return TypeVar(tok.text)
-        self.fail(f"expected a type, found {tok.text or 'end of input'!r}", tok)
+        if kind == "ident":
+            var = self.texts[i]
+            if var not in self.scope:
+                self.fail(f"unbound type variable {var!r} in {self.what}", i)
+            self.tail = var
+            return TypeVar(var)
+        self.fail(f"expected a type, found {self.texts[i] or 'end of input'!r}", i)
 
     def pre_type(self) -> PreType:
-        tok = self.peek()
-        if tok.kind == "end":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        self.i = i + 1
+        if kind == "end":
             return End()
-        if tok.kind in ("?", "!"):
-            self.next()
+        if kind == "?" or kind == "!":
             self.expect("(")
             payload = self.type_()
             self.expect(")")
             self.expect(".")
             cont = self.endpoint()
-            return Recv(payload, cont) if tok.kind == "?" else Send(payload, cont)
-        self.fail(f"expected '?', '!' or 'end', found {tok.text or 'end of input'!r}", tok)
+            return Recv(payload, cont) if kind == "?" else Send(payload, cont)
+        self.fail(f"expected '?', '!' or 'end', found {self.texts[i] or 'end of input'!r}", i)
 
     # -- entries -----------------------------------------------------------
 
     def entry(self) -> Entry:
-        if self.at("<"):
-            self.next()
+        if self.kinds[self.i] == "<":
+            self.i += 1
             left = self.item()
             self.expect(",")
             right = self.item()
@@ -252,8 +237,8 @@ class _Parser:
         return Single(self.item())
 
     def item(self) -> Item:
-        if self.at("void"):
-            self.next()
+        if self.kinds[self.i] == "void":
+            self.i += 1
             return VOID
         return self.endpoint()
 
@@ -267,8 +252,9 @@ def _parse(src: str, rule: Callable, what: str):
         result = rule(parser)
         parser.expect("eof")
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError("input too deep to parse", tok.line, tok.column) from None
+        # The rule may have stepped past the end token just before.
+        at = parser.pos(min(parser.i, len(parser.kinds) - 1))
+        raise ParseError("input too deep to parse", *at) from None
     return result
 
 
@@ -285,16 +271,17 @@ def parse_entry(src: str) -> Entry:
 
 
 def parse_context(src: str) -> Context:
-    """Parse a context file: one ``name : entry`` per line, ``#`` comments."""
+    """Parse a context file: one ``name : entry`` per line, ``#`` comments.
+    Lines end at ``\\n`` alone, as they do for the tokenizer."""
     entries: list[tuple[str, Entry]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(src.splitlines(), start=1):
+    for lineno, raw in enumerate(src.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         name_part, sep, entry_part = line.partition(":")
         name = name_part.strip()
-        if not sep or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", name or ""):
+        if not sep or not _IDENT_RE.fullmatch(name):
             raise ParseError("expected 'name : type' binding", lineno, 1)
         if name in seen:
             raise ParseError(f"duplicate name {name!r} in context", lineno, 1)

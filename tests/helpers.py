@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import collections
+import re
 from typing import Iterator, Optional
 
-from sessionpi import ChanType, Input, New, Output, Par, Repl, Type, Zero, declarative, syntax, type_check
+from sessionpi import ChanType, Input, New, Output, Par, ParseError, Repl, Type, Zero, declarative, syntax, type_check
 from sessionpi.contexts import VOID, DeclContext, Pair, Single
 from sessionpi.equality import unfold
 from sessionpi.gen import (
@@ -391,3 +392,50 @@ def reference_validate(value) -> None:
             pass
         case _:
             walk_type(value, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: one match per token, line and column kept as it goes
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r]+)
+    | (?P<nl>\n)
+    | (?P<comment>\#[^\n]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<void>◦)
+    | (?P<punct>[!?().|:,<>]|0)
+    """,
+    re.VERBOSE,
+)
+_KEYWORDS = frozenset({"new", "lin", "un", "rec", "end", "void"})
+
+
+def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` for every token of ``src`` and a final
+    ``("eof", "", line, column)``: the parser's tokenizer before it read all
+    the tokens in one scan.  Raises the parser's ``ParseError`` on a
+    character no token starts with."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+        text = m.group()
+        if m.lastgroup == "ws" or m.lastgroup == "comment":
+            pass
+        elif m.lastgroup == "nl":
+            line += 1
+            col = 0
+        elif m.lastgroup == "ident":
+            tokens.append((text if text in _KEYWORDS else "ident", text, line, col))
+        elif m.lastgroup == "void":
+            tokens.append(("void", text, line, col))
+        else:
+            tokens.append((text, text, line, col))
+        col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpi import parse_context, parse_process, type_check
 from sessionpi.cli import main
@@ -318,3 +323,34 @@ def test_table_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["matched"] == "24/24"
     assert all(row["ok"] for row in payload["rows"])
+
+
+# Bytes that decode to the grammar's own text, which reaches past the parsers.
+_GRAMMAR_BYTES = st.lists(
+    st.sampled_from(list(" \n#!?().|:,<>0◦xy") + ["rec a.", "lin ", "un ", "end", "new ", " : "])
+).map(lambda words: "".join(words).encode())
+
+
+@st.composite
+def _edited_fixture(draw):
+    """A fixture's process and context, a few bytes of one spliced, which
+    reaches the checker."""
+    name = draw(st.sampled_from(fixture_names()))
+    files = [(FIXTURES / name / "process.pi").read_bytes(), (FIXTURES / name / "context.ctx").read_bytes()]
+    which = draw(st.integers(0, 1))
+    start = draw(st.integers(0, len(files[which])))
+    stop = draw(st.integers(start, min(start + 3, len(files[which]))))
+    files[which] = files[which][:start] + draw(st.binary(max_size=3)) + files[which][stop:]
+    return tuple(files)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(files=st.tuples(st.binary() | _GRAMMAR_BYTES, st.binary() | _GRAMMAR_BYTES) | _edited_fixture())
+def test_check_on_any_bytes_exits_with_a_documented_code(files):
+    with tempfile.TemporaryDirectory() as root:
+        proc, ctx = Path(root) / "p.pi", Path(root) / "c.ctx"
+        proc.write_bytes(files[0])
+        ctx.write_bytes(files[1])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", str(proc), "--ctx", str(ctx)])
+    assert code in (0, 1, 2, 3)

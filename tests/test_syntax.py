@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpi import (
     ChanType,
@@ -16,6 +18,7 @@ from sessionpi import (
     Qualified,
     Rec,
     Recv,
+    Repl,
     TypeVar,
     UN_END,
     Zero,
@@ -41,12 +44,14 @@ from sessionpi.gen import (
 from sessionpi.parser import _Parser
 from sessionpi.syntax import CaptureError, _scan, render
 from sessionpi.semantics import congruence_steps
+from tests.conftest import FIXTURES, fixture_names
 from tests.helpers import (
     count_fills,
     reference_equal,
     reference_rename,
     reference_str,
     reference_substitute,
+    reference_tokenize,
     reference_validate,
     subprocesses,
 )
@@ -95,6 +100,12 @@ def test_parse_errors_carry_line_and_column():
         (parse_process, "x!x.0 |\nnew y: rec a. a. 0", 2, 8),
         (parse_context, "x : un end\ny : rec a. b", 2, 12),
         (parse_context, "  x : lin foo", 1, 11),
+        # Only \n ends a line; other line-breaking characters are stray.
+        (parse_context, "x : un end\u2028y : un end", 1, 11),
+        (parse_context, "x : un\x0cend", 1, 7),
+        (parse_context, "x : un end\ny : lin\x85?(un end).un end", 2, 8),
+        (parse_context, "x : <un end,\x0bun end>", 1, 13),
+        (parse_process, "0 |\u2029 0", 1, 4),
     ],
 )
 def test_parse_error_positions_are_pinned(parse, text, line, column):
@@ -215,6 +226,142 @@ def test_parser_checks_agree_with_the_reference_walk(monkeypatch):
     accepted = sum(value is not None for value in unchecked) - sum(faults.values())
     assert len(cases) == 19_230
     assert accepted > 4_000 and min(faults.values()) > 100, (accepted, faults)
+
+
+# Edits the tokenizer agreement test makes: every token class, blanks,
+# comments, line ends, and characters that no token starts with, among them
+# line-breaking characters other than \n, which end no line.
+_SCAN_EDITS = list(" \t\r\n#!?().|:,<>0◦a_'9$\x0b\x0c\x1c\x85\u2028") + [
+    "rec", "lin", "un", "end", "new", "void", "x1", " # note\n", "\r\n",
+]
+
+
+def _mutate_chars(rng, text):
+    """``text`` with one to three character-level edits."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.random()
+        if edit < 0.4 or i == len(chars):
+            chars.insert(i, rng.choice(_SCAN_EDITS))
+        elif edit < 0.7:
+            chars[i] = rng.choice(_SCAN_EDITS)
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+
+
+def _scanned(text):
+    scan = _Parser(text, "type")
+    return [(kind, t, *scan.pos(i)) for i, (kind, t) in enumerate(zip(scan.kinds, scan.texts))]
+
+
+def _source_order_positions(p):
+    """``pos`` of every node of ``p`` in source order: a parallel's ``|``
+    comes between its two sides."""
+    if isinstance(p, Par):
+        return _source_order_positions(p.left) + [p.pos] + _source_order_positions(p.right)
+    if isinstance(p, Zero):
+        return [p.pos]
+    return [p.pos] + _source_order_positions(p.body if isinstance(p, Repl) else p.cont)
+
+
+def _node_token_positions(tokens):
+    """Positions of the tokens that start process nodes: ``0``, ``|``,
+    ``new``, a replication's ``!`` and a prefix's channel."""
+    kinds = [kind for kind, *_ in tokens]
+    return [
+        (line, column)
+        for i, (kind, _, line, column) in enumerate(tokens)
+        if kind in ("0", "|", "new")
+        or kind == "!" and (i == 0 or kinds[i - 1] not in ("ident", "lin", "un"))
+        or kind == "ident" and kinds[i + 1] in ("!", "?")
+    ]
+
+
+def _assert_at_reference_token(err, parse, text):
+    """``err`` is the reference tokenizer's own error, or sits at a
+    reference token, the one it says it found if it names one."""
+    line, message = err.line, err.message
+    if parse is parse_context:
+        if message.startswith(("expected 'name : type' binding", "duplicate name")):
+            assert err.column == 1, text
+            return
+        # Read the binding's entry alone, at its place on its line.
+        raw = text.split("\n")[line - 1]
+        colon = raw.index(":") + 1
+        text = " " * colon + raw.split("#", 1)[0].rstrip()[colon:]
+        line, message = 1, message.split(": ", 1)[1]
+    try:
+        tokens = reference_tokenize(text)
+    except ParseError as ref:
+        assert (message, line, err.column) == (ref.message, ref.line, ref.column), text
+        return
+    found = {(tok_line, tok_column): t for _, t, tok_line, tok_column in tokens}
+    assert (line, err.column) in found, (text, err)
+    if "found " in message:
+        named = found[line, err.column] or "end of input"
+        assert message.endswith(f"found {named!r}"), (text, err)
+
+
+def test_scan_agrees_with_the_reference_tokenizer():
+    """On mutants of the fixtures, generated processes and types, and poll
+    contexts: the one-scan tokenizer gives the reference's kinds, texts,
+    lines and columns; every parsed node's ``pos`` is where the reference
+    puts the token that starts it; and every ParseError is the reference's
+    own or sits at a reference token.  ``==`` on nodes ignores ``pos``, so
+    positions are compared on their own."""
+    rng = random.Random(12)
+    bases = []
+    for name in fixture_names():
+        bases.append((parse_process, (FIXTURES / name / "process.pi").read_text()))
+        bases.append((parse_context, (FIXTURES / name / "context.ctx").read_text()))
+    for n in range(1, 4):
+        bases += [(parse_process, poll_client_text(n)), (parse_context, poll_context_text(n))]
+    bases.append((parse_process, poll_service_text()))
+    for _ in range(300):
+        bases.append((parse_process, str(gen_process(rng, ["x", "y"], size=rng.randint(1, 8)))))
+        text = str(gen_type(rng, depth=rng.randint(1, 2)))
+        bases += [(parse_type, text), (parse_entry, f"<◦, {text}>")]
+    cases = bases + [(parse, _mutate_chars(rng, text)) for parse, text in rng.choices(bases, k=10_000)]
+    parsed = errors = 0
+    for parse, text in cases:
+        ref = _outcome(reference_tokenize, text)
+        assert _outcome(_scanned, text) == ref, text
+        try:
+            value = parse(text)
+        except ParseError as err:
+            errors += 1
+            _assert_at_reference_token(err, parse, text)
+        else:
+            parsed += 1
+            if parse is parse_process:
+                assert _source_order_positions(value) == _node_token_positions(ref), text
+    assert parsed > 1_000 and errors > 5_000, (parsed, errors)
+
+
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Text made of the grammar's own characters, which reaches past the tokenizer.
+_GRAMMAR_TEXT = st.lists(
+    st.sampled_from(list(" \n#!?().|:,<>0◦xyz") + ["rec", "lin", "un", "end", "new"])
+).map("".join)
+
+
+@pytest.mark.parametrize("parse", [parse_process, parse_type, parse_entry, parse_context])
+@_FUZZ
+@given(text=st.text() | _GRAMMAR_TEXT)
+def test_parsers_raise_nothing_but_parse_errors(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 def test_parse_context_single_binding():
@@ -518,6 +665,21 @@ def test_parse_too_deep_is_parse_error():
         parse_type(nested)
     with pytest.raises(ParseError, match="input too deep to parse"):
         parse_entry("<" + nested + ", un end>")
+
+
+def test_chains_cut_short_near_the_depth_limit_are_parse_errors():
+    """Just past the limit the parser can give up right after it has read
+    the end of the input; that is still a ParseError."""
+    deepest, over = 1, 5000  # the longest chain that parses, one that does not
+    while over - deepest > 1:
+        mid = (deepest + over) // 2
+        if isinstance(_outcome(parse_process, "x!v." * mid + "0"), tuple):
+            over = mid
+        else:
+            deepest = mid
+    for n in range(deepest - 10, deepest + 10):
+        with pytest.raises(ParseError):
+            parse_process("x!v." * n)
 
 
 # ---------------------------------------------------------------------------
