@@ -20,7 +20,9 @@ own chain of ``rec`` binders, is its own variable.
 
 Each input is scanned once: one ``findall`` splits it into parts, each a
 token, newline or comment with the blanks before it, and their running
-lengths give where every token ends.  The line and column of a token are
+lengths give where every token ends; a character that starts no token
+takes the rest of the input into the last part and is reported there, so
+no stretch of the input is read twice.  The line and column of a token are
 worked out from that offset only when it becomes a process node or an error.
 """
 
@@ -64,30 +66,30 @@ class ParseError(Exception):
 
 _KEYWORDS = frozenset({"new", "lin", "un", "rec", "end", "void"})
 _PUNCT = "!?().|:,<>0"  # the one-character tokens, the process 0 among them
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*+")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # A token's kind is its text, except for identifiers, ``◦`` and the end.
 _KINDS = {text: text for text in (*_KEYWORDS, *_PUNCT)} | {"◦": "void", "": "eof"}
 
-# A part is one token, newline or comment, with the blanks before it.  The
-# commonest alternatives come first, and nothing in a part backtracks.
-_PART = rf"[ \t\r]*+(?:[{re.escape(_PUNCT)}◦]|{_IDENT_RE.pattern}|\n|\#[^\n]*+)"
-_PART_RE = re.compile(_PART)
-_PARTS_RE = re.compile(rf"(?:{_PART})*[ \t\r]*")  # the unbroken run of parts from the start
+# A part is one token, newline or comment, with the blanks before it; the
+# commonest alternatives come first.  The last takes the rest of the input
+# from a character that starts no token, and the scan stops before trailing
+# blanks, so every part starts where the one before it ended and no blank is
+# read twice.
+_TOKEN = rf"[{re.escape(_PUNCT)}◦]|{_IDENT_RE.pattern}|\n|\#[^\n]*"
+_TOKEN_PART_RE = re.compile(rf"[ \t\r]*(?:{_TOKEN})")
+_PART_RE = re.compile(rf"[ \t\r]*(?:{_TOKEN}|(?s:.+))")
 _NEWLINE_RE = re.compile(r"\n")
 
 
 class _Parser:
     def __init__(self, src: str, what: str):
-        parts = _PART_RE.findall(src)
+        parts = _PART_RE.findall(src.rstrip(" \t\r"))
         ends = list(accumulate(map(len, parts)))
-        self.newlines = [m.start() for m in _NEWLINE_RE.finditer(src)]
-        if (ends[-1] if ends else 0) < len(src):
-            # findall skips what no part matches; blanks at the end are fine.
-            stop = _PARTS_RE.match(src).end()
-            if stop < len(src):
-                self.texts, self.ends = [""], [stop]  # an empty token there, for pos
-                self.fail(f"unexpected character {src[stop]!r}", 0)
         texts = list(map(str.lstrip, parts, repeat(" \t\r")))
+        self.newlines = [m.start() for m in _NEWLINE_RE.finditer(src)]
+        if parts and not _TOKEN_PART_RE.fullmatch(parts[-1]):
+            self.texts, self.ends = texts, ends
+            self.fail(f"unexpected character {texts[-1][0]!r}", len(texts) - 1)
         if self.newlines or "#" in src:
             keep = [text != "\n" and text[0] != "#" for text in texts]
             texts, ends = list(compress(texts, keep)), list(compress(ends, keep))
@@ -107,8 +109,6 @@ class _Parser:
         """The line and column where token ``i`` starts, worked out only for
         the tokens that become nodes or errors."""
         offset = self.ends[i] - len(self.texts[i])
-        if not self.newlines:
-            return 1, offset + 1
         line = bisect(self.newlines, offset)
         return line + 1, (offset - self.newlines[line - 1] if line else offset + 1)
 

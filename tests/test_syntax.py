@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,20 @@ def test_parse_error_positions_are_pinned(parse, text, line, column):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("parse", [parse_process, parse_context])
+def test_long_blank_runs_scan_in_linear_time(parse):
+    """A run of blanks is read once, at the end of the input and before a
+    character that starts no token alike."""
+    text = "x : un end" if parse is parse_context else "0"
+    for blanks in (" " * 200_000, "\t\r " * 70_000):
+        start = time.perf_counter()
+        parse(text + blanks)
+        with pytest.raises(ParseError, match="unexpected character '\\$'") as err:
+            parse(text + blanks + "$")
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.line, err.value.column) == (1, len(text + blanks) + 1)
 
 
 def test_parse_type_base():
@@ -657,9 +672,25 @@ def test_substitute_free_variable_law():
         assert free_vars(q) == (free_vars(p) - {"x"}) | {"z"}
 
 
+def _chain_limit():
+    """The most ``x!v.`` prefixes before ``0`` that parse from here, and how
+    a chain of 5,000 fails from the same stack depth."""
+    too_deep = _outcome(parse_process, "x!v." * 5000 + "0")
+    deepest, over = 1, 5000  # the longest chain that parses, one that does not
+    while over - deepest > 1:
+        mid = (deepest + over) // 2
+        if isinstance(_outcome(parse_process, "x!v." * mid + "0"), tuple):
+            over = mid
+        else:
+            deepest = mid
+    return deepest, too_deep
+
+
 def test_parse_too_deep_is_parse_error():
-    with pytest.raises(ParseError, match="input too deep to parse"):
-        parse_process("x!v." * 5000 + "0")
+    # The parser gives up at the '!' of the fourth prefix past the deepest
+    # chain that parses; both move with the caller's own stack depth.
+    deepest, too_deep = _chain_limit()
+    assert too_deep == ("error", "input too deep to parse", 1, 4 * (deepest + 3) + 2)
     nested = "lin !(" * 5000 + "un end" + ").un end" * 5000
     with pytest.raises(ParseError, match="input too deep to parse"):
         parse_type(nested)
@@ -670,13 +701,7 @@ def test_parse_too_deep_is_parse_error():
 def test_chains_cut_short_near_the_depth_limit_are_parse_errors():
     """Just past the limit the parser can give up right after it has read
     the end of the input; that is still a ParseError."""
-    deepest, over = 1, 5000  # the longest chain that parses, one that does not
-    while over - deepest > 1:
-        mid = (deepest + over) // 2
-        if isinstance(_outcome(parse_process, "x!v." * mid + "0"), tuple):
-            over = mid
-        else:
-            deepest = mid
+    deepest, _ = _chain_limit()
     for n in range(deepest - 10, deepest + 10):
         with pytest.raises(ParseError):
             parse_process("x!v." * n)
