@@ -7,12 +7,15 @@ process; on a safe context at most one pattern applies, so there is no
 backtracking.  Consumed linear slots are marked ``◦`` so later threads
 cannot reuse them.
 
-Dispatch takes the first rule whose guard holds and stops evaluating
-guards there.  With auditing on it evaluates every guard instead and
-records how many rules matched at each call, which on a safe context is
-at most one.  Location strings are built only when an audit record keeps
-them; a trace step keeps its subject and renders it when read, and an
-error formats its texts when they are read.
+Dispatch lists the rules whose guards hold and takes the first.  The list
+of a structural node comes from one table by its class, and that of a
+send or receive from a table keyed by the channel's interned entry, filled
+the first time the entry is met; with auditing on, the length of each
+list is recorded, which on a safe context is at most one.  The tables hold
+the names of rule bodies, looked up on the checker at each call.
+Location strings are built only when an audit record keeps them; a trace
+step keeps its subject and renders it when read, and an error formats its
+texts when they are read.
 
 Rule names carried in traces:
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .contexts import (
     VOID,
@@ -41,7 +44,6 @@ from .contexts import (
     Item,
     Pair,
     Single,
-    Void,
     closure,
     context_equal,
     entry_of_type,
@@ -214,70 +216,97 @@ def _consumed(entry: Entry, suffix: str) -> Entry:
     return Single(VOID)
 
 
+# The rules of the structural nodes, and the send or receive rules of each
+# (entry, Output or Input) once met.  A match is (rule, name of its body on
+# ``_Checker``, extra arguments of the body).
+_STRUCTURAL = {
+    Zero: [("A-Inact", "_rule_inact", ())],
+    Repl: [("A-Repl", "_rule_repl", ())],
+    Par: [("A-Par", "_rule_par", ())],
+    New: [("A-Res", "_rule_res", ())],
+}
+_IO_RULES: dict[tuple[Entry, type], list[tuple]] = {}
+
+
+def _io_rules(entry: Entry, kind: type) -> list[tuple]:
+    """The matches of the send (``kind`` is ``Output``) or receive rules on a
+    channel with ``entry``: linear rules before unrestricted ones, left first."""
+    if kind is Output:
+        rule, ctor, lin_body, un_body = "A-Out", Send, "_rule_out_lin", "_rule_out_un"
+    else:
+        rule, ctor, lin_body, un_body = "A-In", Recv, "_rule_in_lin", "_rule_in_un"
+    heads = [(s, io_head(item, ctor)) for s, item in _slots(entry) if item is not VOID]
+    lin = [
+        (f"{rule}-L{s}", "_rule_pair_side", (s,)) if s else (f"{rule}-L", lin_body, ())
+        for s, h in heads
+        if h is not None and h.qual is Qual.LIN
+    ]
+    un = [(f"{rule}-Un{s}", un_body, (h,)) for s, h in heads if h is not None and h.qual is Qual.UN]
+    return lin + un
+
+
 class _Checker:
     def __init__(self, trace: bool = True, audit: bool = False, runtime_audits: bool = False):
         self.trace: Optional[list[TraceStep]] = [] if trace else None
         self.audits: Optional[list[AuditRecord]] = [] if audit else None
         self.runtime_audits = runtime_audits
 
-    def _first(self, matches: Iterator, site: Callable[[], str]) -> Optional[tuple]:
-        """The first match, or ``None``; when auditing, every guard is
-        evaluated and the number of matches is recorded at ``site()``."""
-        if self.audits is None:
-            return next(matches, None)
-        found = list(matches)
-        self.audits.append(AuditRecord(site(), len(found)))
-        return found[0] if found else None
+    def _first(self, matches: list, site: Callable[[], str]) -> Optional[tuple]:
+        """The first match, or ``None``; when auditing, the number of
+        matches is recorded at ``site()``."""
+        if self.audits is not None:
+            self.audits.append(AuditRecord(site(), len(matches)))
+        return matches[0] if matches else None
 
     # -- variables -----------------------------------------------------------
 
-    def _var_matches(self, g: Context, x: str, t: Type) -> Iterator[tuple[str, Context]]:
+    def _var_matches(self, g: Context, x: str, t: Type) -> list[tuple[str, Context]]:
         """(rule, residual context) for each variable rule whose guard holds."""
         entry = g.get(x)
         if entry is None:
-            return
+            return []
         if isinstance(t, ChanType):
             if not isinstance(entry, Pair):
-                return
+                return []
             left, right = entry.left, entry.right
-            if isinstance(left, Void) or isinstance(right, Void):
-                return
+            if left is VOID or right is VOID:
+                return []
             qual = unfold(left).qual
             if unfold(right).qual is not qual:
-                return
+                return []
             if type_equal(left, t.left) and type_equal(right, t.right):
                 suffix = "-l"
             elif type_equal(left, t.right) and type_equal(right, t.left):
                 suffix = "-r"
             else:
-                return
+                return []
             if qual is Qual.LIN:
-                yield "A-V-LL" + suffix, g.set(x, Pair(VOID, VOID))
-            else:
-                yield "A-V-UU" + suffix, g
-            return
+                return [("A-V-LL" + suffix, g.set(x, Pair(VOID, VOID)))]
+            return [("A-V-UU" + suffix, g)]
         qual = unfold(t).qual
         hits = [
             suffix
             for suffix, item in _slots(entry)
-            if not isinstance(item, Void) and unfold(item).qual is qual and type_equal(item, t)
+            if item is not VOID and unfold(item).qual is qual and type_equal(item, t)
         ]
         if qual is Qual.LIN:
-            for suffix in hits:
-                yield "A-V-L" + suffix, g.set(x, _consumed(entry, suffix))
+            matches = [("A-V-L" + suffix, g.set(x, _consumed(entry, suffix))) for suffix in hits]
         elif len(hits) == 1:
             # An unrestricted side is read alone only when the other side
             # differs from it, that is, when exactly one slot matches ``t``.
-            yield "A-V-U" + hits[0], g
+            matches = [("A-V-U" + hits[0], g)]
+        else:
+            matches = []
         if (
             isinstance(entry, Pair)
-            and not isinstance(entry.left, Void)
-            and not isinstance(entry.right, Void)
+            and entry.left is not VOID
+            and entry.right is not VOID
             and is_un_end(entry.left)
             and is_un_end(entry.right)
             and is_un_end(t)
         ):
-            yield "A-V-EE", g
+            matches.append(("A-V-EE", g))
+        return matches
 
     def check_var(self, g: Context, x: str, t: Type) -> Context:
         found = self._first(self._var_matches(g, x, t), lambda: f"{x} : {t}")
@@ -299,42 +328,19 @@ class _Checker:
 
     # -- processes -----------------------------------------------------------
 
-    def _process_matches(self, g: Context, p: Process) -> Iterator[tuple]:
-        """(rule, body, extra arguments) for each process rule whose guard
-        holds: linear rules before unrestricted ones, left before right."""
-        match p:
-            case Zero():
-                yield "A-Inact", self._rule_inact, ()
-            case Repl(_):
-                yield "A-Repl", self._rule_repl, ()
-            case Par(_, _):
-                yield "A-Par", self._rule_par, ()
-            case New(_, _, _):
-                yield "A-Res", self._rule_res, ()
-            case Output(chan, _, _) | Input(chan, _, _):
-                entry = g.get(chan)
-                if entry is None:
-                    return
-                if isinstance(p, Output):
-                    rule, ctor = "A-Out", Send
-                    lin_body, un_body = self._rule_out_lin, self._rule_out_un
-                else:
-                    rule, ctor = "A-In", Recv
-                    lin_body, un_body = self._rule_in_lin, self._rule_in_un
-                heads = [
-                    (suffix, io_head(item, ctor))
-                    for suffix, item in _slots(entry)
-                    if not isinstance(item, Void)
-                ]
-                for suffix, h in heads:
-                    if h is not None and h.qual is Qual.LIN:
-                        if suffix:
-                            yield f"{rule}-L{suffix}", self._rule_pair_side, (suffix,)
-                        else:
-                            yield f"{rule}-L", lin_body, ()
-                for suffix, h in heads:
-                    if h is not None and h.qual is Qual.UN:
-                        yield f"{rule}-Un{suffix}", un_body, (h,)
+    def _process_matches(self, g: Context, p: Process) -> list[tuple]:
+        """The matches of the process rules whose guards hold."""
+        rules = _STRUCTURAL.get(type(p))
+        if rules is not None:
+            return rules
+        entry = g.get(p.chan) if isinstance(p, (Output, Input)) else None
+        if entry is None:
+            return []
+        key = (entry, type(p))
+        rules = _IO_RULES.get(key)
+        if rules is None:
+            rules = _IO_RULES[key] = _io_rules(entry, type(p))
+        return rules
 
     def check(self, g: Context, p: Process) -> Context:
         found = self._first(self._process_matches(g, p), lambda: _loc(p))
@@ -347,7 +353,7 @@ class _Checker:
         if self.trace is not None:
             step = TraceStep(rule, g, p)
             self.trace.append(step)
-        out = body(g, p, *extra)
+        out = getattr(self, body)(g, p, *extra)
         if step is not None:
             step.output_ctx = out
         if self.runtime_audits:
@@ -357,7 +363,7 @@ class _Checker:
     def _check_invariants(self, g: Context, out: Context, p: Process):
         # Domain preservation and safety of every successful return, and
         # definedness of the used projection of the consumption closure.
-        if g.names() != out.names():
+        if g._index is not out._index and g.names() != out.names():
             raise AuditViolation(f"domain changed while checking {_loc(p)}")
         if not is_safe_context(out):
             raise AuditViolation(f"unsafe output context after {_loc(p)}")

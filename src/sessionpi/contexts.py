@@ -3,6 +3,11 @@
 An entry is either a single endpoint slot or a pair of slots (the two ends
 of one channel).  A slot holds an endpoint type or the void marker ``◦``,
 which records that a linear end has been used up and is no longer available.
+Entries are interned like types: equal entries are one object, ``VOID`` is
+the only void marker, and ``==`` and ``hash`` take constant time.  So an
+entry's safety, unrestrictedness, used projection and closure against
+another entry are each computed once, in grow-only tables like those of
+``equality``.
 
 The algebra on contexts:
 
@@ -21,15 +26,15 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Union
 
 from .equality import head_qual, is_un_end, type_equal, unfold
-from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END
+from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END, _Interned, _interned_node
 
 
-@dataclass(frozen=True)
-class Void:
+@_interned_node
+class Void(_Interned):
     """Marker for a consumed, unusable endpoint slot."""
 
     def __str__(self) -> str:
@@ -41,16 +46,16 @@ VOID = Void()
 Item = Union[Endpoint, Void]
 
 
-@dataclass(frozen=True)
-class Single:
+@_interned_node
+class Single(_Interned):
     item: Item
 
     def __str__(self) -> str:
         return str(self.item)
 
 
-@dataclass(frozen=True)
-class Pair:
+@_interned_node
+class Pair(_Interned):
     left: Item
     right: Item
 
@@ -298,15 +303,25 @@ def decl_to_context(i: DeclContext) -> Context:
 # safe / un predicates
 # ---------------------------------------------------------------------------
 
+# Memos on interned entries: safety, unrestrictedness, the used projection,
+# and the closure of an entry against another one.
+_SAFE_ENTRY: dict[Entry, bool] = {}
+_UN_ENTRY: dict[Entry, bool] = {}
+_USED: dict[Entry, Type] = {}
+_CLOSED: dict[tuple[Entry, Entry], Entry] = {}
+
+
 def is_safe_entry(e: Entry) -> bool:
     """Well-pairedness of an entry.
 
     Single slots are always safe, and so is a pair with a void side; any
     other pair is safe when its channel type is (``is_safe_type``).
     """
-    if isinstance(e, Single) or isinstance(e.left, Void) or isinstance(e.right, Void):
-        return True
-    return is_safe_type(ChanType(e.left, e.right))
+    safe = _SAFE_ENTRY.get(e)
+    if safe is None:
+        trivial = isinstance(e, Single) or VOID in (e.left, e.right)
+        safe = _SAFE_ENTRY[e] = trivial or is_safe_type(ChanType(e.left, e.right))
+    return safe
 
 
 # Safety of each interned channel type checked so far.
@@ -352,7 +367,7 @@ def _safe_chan(t: ChanType, assumed: frozenset) -> bool:
 
 
 def is_safe_context(g: Context) -> bool:
-    return all(is_safe_entry(e) for _, e in g.items())
+    return all(map(is_safe_entry, g._entries))
 
 
 def is_un_item(m: Item) -> bool:
@@ -362,16 +377,20 @@ def is_un_item(m: Item) -> bool:
 
 
 def is_un_entry(e: Entry) -> bool:
-    match e:
-        case Single(item):
-            return is_un_item(item)
-        case Pair(left, right):
-            return is_un_item(left) and is_un_item(right)
-    raise TypeError(f"not an entry: {e!r}")
+    un = _UN_ENTRY.get(e)
+    if un is None:
+        match e:
+            case Single(item):
+                un = _UN_ENTRY[e] = is_un_item(item)
+            case Pair(left, right):
+                un = _UN_ENTRY[e] = is_un_item(left) and is_un_item(right)
+            case _:
+                raise TypeError(f"not an entry: {e!r}")
+    return un
 
 
 def is_un_context(g: Context) -> bool:
-    return all(is_un_entry(e) for _, e in g.items())
+    return all(map(is_un_entry, g._entries))
 
 
 def is_un_type(t: Type) -> bool:
@@ -420,42 +439,60 @@ def _close_item(m1: Item, m2: Item) -> Item:
     return m1  # un p ▷ un p = un p
 
 
-def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
-    """Combine two contexts of equal domain slot by slot with ``op``."""
-    if g1.names() != g2.names():
+def _combine(op, name: str, e1: Entry, e2: Entry) -> Entry:
+    """Combine the entries of ``name`` in two contexts slot by slot with ``op``."""
+    match (e1, e2):
+        case (Single(a), Single(b)):
+            return Single(op(a, b))
+        case (Pair(a, b), Pair(c, d)):
+            return Pair(op(a, c), op(b, d))
+    raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
+
+
+def _pointwise(g1: Context, g2: Context, combine, what: str) -> Context:
+    """Combine two contexts of equal domain entry by entry with ``combine``
+    (name, entry in ``g1``, entry in ``g2``); over one index the entries
+    pair up by position."""
+    index = g1._index
+    if index is g2._index:
+        others = g2._entries
+    elif g1.names() != g2.names():
         raise ContextAlgebraError(f"{what} needs contexts with equal domains")
-    out = []
-    for name, e1 in g1.items():
-        e2 = g2.get(name)
-        match (e1, e2):
-            case (Single(a), Single(b)):
-                out.append(Single(op(a, b)))
-            case (Pair(a, b), Pair(c, d)):
-                out.append(Pair(op(a, c), op(b, d)))
-            case _:
-                raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
-    return g1.with_entries(out)
+    else:
+        others = map(g2.get, index.names)
+    return _context(index, tuple(map(combine, index.names, g1._entries, others)))
+
+
+def _close_entry(name: str, e1: Entry, e2: Entry) -> Entry:
+    closed = _CLOSED.get((e1, e2))
+    if closed is None:
+        # An undefined closure raises, naming ``name``, and is not kept.
+        closed = _CLOSED[e1, e2] = _combine(_close_item, name, e1, e2)
+    return closed
 
 
 def closure(g1: Context, g2: Context) -> Context:
     """``g1 ▷ g2``: what ``g1`` spent to become ``g2``.  Pointwise, partial."""
-    return _pointwise(g1, g2, _close_item, "closure")
+    return _pointwise(g1, g2, _close_entry, "closure")
 
 
 def _used_item(m: Item) -> Endpoint:
     return UN_END if isinstance(m, Void) else m
 
 
+def _used_entry(e: Entry) -> Type:
+    t = _USED.get(e)
+    if t is None:
+        if isinstance(e, Single):
+            t = _USED[e] = _used_item(e.item)
+        else:
+            t = _USED[e] = ChanType(_used_item(e.left), _used_item(e.right))
+    return t
+
+
 def used_map(g: Context) -> DeclContext:
     """Project a context to a declarative one; consumed slots become ``un end``."""
-    out = []
-    for _, e in g.items():
-        match e:
-            case Single(item):
-                out.append(_used_item(item))
-            case Pair(left, right):
-                out.append(ChanType(_used_item(left), _used_item(right)))
-    return g.with_entries(out)
+    return _context(g._index, tuple(map(_used_entry, g._entries)))
 
 
 def _nabla_item(m: Item) -> Item:
@@ -488,4 +525,4 @@ def _update_item(m1: Item, m2: Item) -> Item:
 
 def update_context(g1: Context, g2: Context) -> Context:
     """``g1 ⊎ g2``: pointwise combination; linear slots must not collide."""
-    return _pointwise(g1, g2, _update_item, "update")
+    return _pointwise(g1, g2, partial(_combine, _update_item), "update")

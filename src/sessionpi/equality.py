@@ -9,9 +9,9 @@ and by ``unfold`` for types built in code) bounds unfolding, and the set of
 distinct subterm pairs is finite, so the procedure terminates.
 
 Types are interned (``syntax``), so identical types are one object: equality
-first tests ``is``, and ``unfold`` and ``type_equal`` keep each answer in a
-table keyed by the interned nodes.  The tables only grow; they hold one
-entry per distinct type unfolded and per distinct pair compared.
+first tests ``is``, and ``unfold``, ``type_equal`` and ``io_head`` keep each
+answer in a table keyed by the interned nodes.  The tables only grow; they
+hold one entry per distinct type unfolded, pair compared and head asked for.
 """
 
 from __future__ import annotations
@@ -63,9 +63,11 @@ def _subst_in_type(t: Type, name: str, replacement: Endpoint) -> Type:
     return subst_type(t, name, replacement)
 
 
-# Memos on interned nodes: a type's unfolding, and the verdict on a pair.
+# Memos on interned nodes: a type's unfolding, the verdict on a pair, and
+# a type's send or receive head (``False`` marks an absent key).
 _UNFOLDED: dict[Endpoint, Qualified] = {}
 _EQUAL: dict[tuple[Type, Type], bool] = {}
+_IO_HEAD: dict[tuple[Endpoint, type], Optional[Qualified]] = {}
 
 
 def unfold(s: Endpoint) -> Qualified:
@@ -175,9 +177,11 @@ def io_head(s: Endpoint, ctor) -> Optional[Qualified]:
     A linear prefix always can; an unrestricted one only when its
     continuation is ``s`` again, so that using it leaves the type unchanged.
     """
-    h = unfold(s)
-    if not isinstance(h.pre, ctor):
-        return None
-    if h.qual is Qual.UN and not type_equal(h.pre.cont, s):
-        return None
+    key = (s, ctor)
+    h = _IO_HEAD.get(key, False)
+    if h is False:
+        h = unfold(s)
+        if not isinstance(h.pre, ctor) or h.qual is Qual.UN and not type_equal(h.pre.cont, s):
+            h = None
+        _IO_HEAD[key] = h
     return h

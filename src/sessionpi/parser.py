@@ -65,6 +65,7 @@ class ParseError(Exception):
 
 
 _KEYWORDS = frozenset({"new", "lin", "un", "rec", "end", "void"})
+_BLANKS = " \t\r"  # the only blanks; any other whitespace starts no token
 _PUNCT = "!?().|:,<>0"  # the one-character tokens, the process 0 among them
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # A token's kind is its text, except for identifiers, ``◦`` and the end.
@@ -83,9 +84,9 @@ _NEWLINE_RE = re.compile(r"\n")
 
 class _Parser:
     def __init__(self, src: str, what: str):
-        parts = _PART_RE.findall(src.rstrip(" \t\r"))
+        parts = _PART_RE.findall(src.rstrip(_BLANKS))
         ends = list(accumulate(map(len, parts)))
-        texts = list(map(str.lstrip, parts, repeat(" \t\r")))
+        texts = list(map(str.lstrip, parts, repeat(_BLANKS)))
         self.newlines = [m.start() for m in _NEWLINE_RE.finditer(src)]
         if parts and not _TOKEN_PART_RE.fullmatch(parts[-1]):
             self.texts, self.ends = texts, ends
@@ -276,12 +277,16 @@ def parse_context(src: str) -> Context:
     entries: list[tuple[str, Entry]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(src.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip(_BLANKS)
+        if not line.lstrip(_BLANKS):
             continue
         name_part, sep, entry_part = line.partition(":")
-        name = name_part.strip()
+        name = name_part.strip(_BLANKS)
         if not sep or not _IDENT_RE.fullmatch(name):
+            try:
+                _Parser(name_part, "name")  # a character no token starts with comes first
+            except ParseError as err:
+                raise ParseError(err.message, lineno, err.column) from None
             raise ParseError("expected 'name : type' binding", lineno, 1)
         if name in seen:
             raise ParseError(f"duplicate name {name!r} in context", lineno, 1)

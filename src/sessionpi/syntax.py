@@ -26,6 +26,10 @@ class Qual(enum.Enum):
     LIN = "lin"
     UN = "un"
 
+    # Members are singletons, so identity hashing agrees with ``==`` and
+    # spares interning keys the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -34,12 +38,12 @@ class Qual(enum.Enum):
 # Types
 # ---------------------------------------------------------------------------
 
-# Every type node ever built, keyed by its class and fields.
+# Every type node and context entry ever built, keyed by its class and fields.
 _NODES: dict[tuple, "_Interned"] = {}
 
 
 class _Interned:
-    """Base of the type nodes: they are hash-consed.
+    """Base of the type nodes and of the context entries: they are hash-consed.
 
     Construction looks the node up by ``(class, fields)``.  The fields are
     interned already, so the key hashes in constant time, and a structurally
@@ -69,10 +73,10 @@ class _Interned:
 
 # ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
 # leaves construction to ``_Interned.__new__``.
-_type_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+_interned_node = dataclass(frozen=True, eq=False, init=False, slots=True)
 
 
-@_type_node
+@_interned_node
 class Recv(_Interned):
     """Pre-type ``?(T).S``: receive a name of type ``payload``, go on as ``cont``."""
 
@@ -83,7 +87,7 @@ class Recv(_Interned):
         return f"?({self.payload}).{self.cont}"
 
 
-@_type_node
+@_interned_node
 class Send(_Interned):
     """Pre-type ``!(T).S``: send a name of type ``payload``, go on as ``cont``."""
 
@@ -94,7 +98,7 @@ class Send(_Interned):
         return f"!({self.payload}).{self.cont}"
 
 
-@_type_node
+@_interned_node
 class End(_Interned):
     """Pre-type ``end``: no further interaction on this endpoint."""
 
@@ -105,7 +109,7 @@ class End(_Interned):
 PreType = Union[Recv, Send, End]
 
 
-@_type_node
+@_interned_node
 class Qualified(_Interned):
     """Endpoint type ``q p``: a pre-type under a lin/un qualifier."""
 
@@ -116,7 +120,7 @@ class Qualified(_Interned):
         return f"{self.qual.value} {self.pre}"
 
 
-@_type_node
+@_interned_node
 class TypeVar(_Interned):
     name: str
 
@@ -124,7 +128,7 @@ class TypeVar(_Interned):
         return self.name
 
 
-@_type_node
+@_interned_node
 class Rec(_Interned):
     """Recursive endpoint type ``rec a. S``; must be contractive."""
 
@@ -138,7 +142,7 @@ class Rec(_Interned):
 Endpoint = Union[Qualified, TypeVar, Rec]
 
 
-@_type_node
+@_interned_node
 class ChanType(_Interned):
     """Channel pair type ``<S1, S2>``: the two ends of one channel."""
 

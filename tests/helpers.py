@@ -7,8 +7,20 @@ import re
 from typing import Iterator, Optional
 
 from sessionpi import ChanType, Input, New, Output, Par, ParseError, Repl, Type, Zero, declarative, syntax, type_check
-from sessionpi.contexts import VOID, DeclContext, Pair, Single
-from sessionpi.equality import unfold
+from sessionpi.contexts import (
+    VOID,
+    Context,
+    ContextAlgebraError,
+    DeclContext,
+    Pair,
+    Single,
+    Void,
+    _close_item,
+    _used_item,
+    is_safe_type,
+    is_un_item,
+)
+from sessionpi.equality import type_equal, unfold
 from sessionpi.gen import (
     closed_session,
     delegation,
@@ -20,7 +32,7 @@ from sessionpi.gen import (
     un_server,
 )
 from sessionpi.semantics import RewriteStep, _local_steps, advance_type, get_at, replace_at
-from sessionpi.syntax import CaptureError, End, Process, Qualified, Rec, Recv, Send, TypeVar, free_vars
+from sessionpi.syntax import CaptureError, End, Process, Qual, Qualified, Rec, Recv, Send, TypeVar, free_vars
 
 # ---------------------------------------------------------------------------
 # Process walks: subterms, structural equality, and counting node fills
@@ -439,3 +451,69 @@ def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
         pos = m.end()
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference context algebra: entry facts recomputed on every call
+# ---------------------------------------------------------------------------
+
+def reference_is_safe_entry(e) -> bool:
+    """``is_safe_entry`` before it kept each entry's answer."""
+    if isinstance(e, Single) or isinstance(e.left, Void) or isinstance(e.right, Void):
+        return True
+    return is_safe_type(ChanType(e.left, e.right))
+
+
+def reference_is_un_entry(e) -> bool:
+    """``is_un_entry`` before it kept each entry's answer."""
+    match e:
+        case Single(item):
+            return is_un_item(item)
+        case Pair(left, right):
+            return is_un_item(left) and is_un_item(right)
+    raise TypeError(f"not an entry: {e!r}")
+
+
+def reference_io_head(s, ctor) -> Optional[Qualified]:
+    """``equality.io_head`` before it kept each answer."""
+    h = unfold(s)
+    if not isinstance(h.pre, ctor):
+        return None
+    if h.qual is Qual.UN and not type_equal(h.pre.cont, s):
+        return None
+    return h
+
+
+def _reference_pointwise(g1: Context, g2: Context, op, what: str) -> Context:
+    """Combine two contexts of equal domain slot by slot with ``op``, looking
+    each name of ``g1`` up in ``g2``."""
+    if g1.names() != g2.names():
+        raise ContextAlgebraError(f"{what} needs contexts with equal domains")
+    out = []
+    for name, e1 in g1.items():
+        e2 = g2.get(name)
+        match (e1, e2):
+            case (Single(a), Single(b)):
+                out.append(Single(op(a, b)))
+            case (Pair(a, b), Pair(c, d)):
+                out.append(Pair(op(a, c), op(b, d)))
+            case _:
+                raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
+    return g1.with_entries(out)
+
+
+def reference_closure(g1: Context, g2: Context) -> Context:
+    """``contexts.closure`` before it kept the closure of each entry pair."""
+    return _reference_pointwise(g1, g2, _close_item, "closure")
+
+
+def reference_used_map(g: Context) -> DeclContext:
+    """``contexts.used_map`` before it kept each entry's projection."""
+    out = []
+    for _, e in g.items():
+        match e:
+            case Single(item):
+                out.append(_used_item(item))
+            case Pair(left, right):
+                out.append(ChanType(_used_item(left), _used_item(right)))
+    return g.with_entries(out)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -166,6 +167,39 @@ def test_non_utf8_input_is_usage_error_without_traceback(tmp_path, command, bad)
     assert "not UTF-8" in done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
+
+
+def _oldest_supported_python() -> str:
+    """The ``python3.10`` on PATH, the floor ``pyproject.toml`` declares, or
+    a skip saying why there is none that runs."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("no python3.10 executable on PATH")
+    probe = subprocess.run(
+        [exe, "-c", "import sys; print(sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
+        first_line = (probe.stderr.strip().splitlines() or ["no error output"])[0]
+        pytest.skip(f"python3.10 on PATH does not run as Python 3.10: {first_line}")
+    return exe
+
+
+def test_cli_checks_every_fixture_on_the_oldest_supported_python():
+    # ``-S`` keeps site-packages off the path: the package needs the
+    # standard library only.
+    exe = _oldest_supported_python()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name in fixture_names():
+        expected = json.loads((FIXTURES / name / "expected.json").read_text())
+        done = subprocess.run(
+            [exe, "-S", "-m", "sessionpi.cli", "check", "--json", *fixture_args(name)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        accepted = expected["check"] == "accepted"
+        assert "Traceback" not in done.stderr, (name, done.stderr)
+        assert done.returncode == (0 if accepted else 1), (name, done.stderr)
+        assert json.loads(done.stdout)["accepted"] is accepted, name
 
 
 def test_unbound_type_variable_in_context_is_one_positioned_line(tmp_path):

@@ -300,3 +300,72 @@ def test_derived_contexts_share_their_index():
     grown = g.add("z", Single(E))
     for copied in (pickle.loads(pickle.dumps(grown)), copy.deepcopy(grown)):
         assert copied == grown and list(copied.items()) == list(grown.items())
+
+
+def _algebra_outcome(op, *args):
+    """``op(*args)`` with its items in order, or its ContextAlgebraError's text."""
+    try:
+        return list(op(*args).items())
+    except ContextAlgebraError as err:
+        return ("error", str(err))
+
+
+def _algebra_pairs():
+    """Context pairs for the memoized algebra: every ordered pair of one
+    table row's contexts (one index each), then seeded safe contexts over
+    the same names, over reordered names, and over another domain."""
+    from sessionpi.table import _ctx, expected_rows
+
+    for row in expected_rows():
+        contexts = [_ctx(e) for e in (row.g1, row.g2, row.g3, row.c12, row.g4, row.nabla)]
+        for g1 in contexts:
+            for g2 in contexts:
+                yield g1, g2
+    rng = random.Random(37)
+    for k in range(600):
+        names = ["x", "y", "z"][: 1 + k % 3]
+        g1 = gen_safe_context(rng, names)
+        if k % 4 == 0:
+            g2 = nabla(g1)
+        elif k % 4 == 1:
+            g2 = gen_safe_context(rng, names[::-1])
+        elif k % 4 == 2:
+            g2 = g1.with_entries(rng.choice([e, nabla(g1).get(n)]) for n, e in g1.items())
+        else:
+            g2 = gen_safe_context(rng, ["w"] + names[1:])
+        yield g1, g2
+
+
+def test_memoized_algebra_agrees_with_the_reference():
+    from tests.helpers import (
+        reference_closure,
+        reference_io_head,
+        reference_is_safe_entry,
+        reference_is_un_entry,
+        reference_used_map,
+    )
+    from sessionpi import Recv, Send
+    from sessionpi.equality import io_head
+
+    errors = 0
+    for g1, g2 in _algebra_pairs():
+        # Twice: the second call reads what the first one kept.
+        for _ in range(2):
+            want = _algebra_outcome(reference_closure, g1, g2)
+            assert _algebra_outcome(closure, g1, g2) == want, (str(g1), str(g2))
+            errors += want[0] == "error"
+            if want[0] != "error":
+                spent = closure(g1, g2)
+                assert list(used_map(spent).items()) == list(reference_used_map(spent).items())
+        for g in (g1, g2):
+            assert list(used_map(g).items()) == list(reference_used_map(g).items())
+            for _, e in g.items():
+                assert is_safe_entry(e) == reference_is_safe_entry(e), str(e)
+                assert is_un_entry(e) == reference_is_un_entry(e), str(e)
+                items = (e.item,) if isinstance(e, Single) else (e.left, e.right)
+                for item in items:
+                    if item is not VOID:
+                        for ctor in (Send, Recv):
+                            assert io_head(item, ctor) is reference_io_head(item, ctor), str(item)
+    # Undefined closures, unequal domains and differing shapes all occur.
+    assert errors > 100

@@ -1,12 +1,30 @@
-"""Hash-consed types: structurally equal types are one object, built,
-parsed, unfolded, dualized, copied or unpickled."""
+"""Hash-consed types and context entries: structurally equal ones are one
+object, built, parsed, unfolded, dualized, copied or unpickled."""
 
 import copy
 import pickle
 import random
 
-from sessionpi import ChanType, End, Qual, Qualified, Send, UN_END, dual, parse_type, unfold
-from sessionpi.gen import gen_type
+from sessionpi import (
+    VOID,
+    ChanType,
+    Context,
+    End,
+    Pair,
+    Qual,
+    Qualified,
+    Send,
+    Single,
+    UN_END,
+    Void,
+    dual,
+    entry_of_type,
+    nabla,
+    parse_entry,
+    parse_type,
+    unfold,
+)
+from sessionpi.gen import gen_safe_context, gen_type
 from tests.test_acceptance import U6
 
 
@@ -42,3 +60,37 @@ def test_interning_invariants_on_the_universe_and_random_types():
         for s in (t.left, t.right) if isinstance(t, ChanType) else (t,):
             assert unfold(s) is unfold(s), s
             assert dual(dual(s)) is s, s
+
+
+def test_parsing_the_same_entry_twice_gives_one_object():
+    text = "<rec a. lin ?(un end).a, void>"
+    assert parse_entry(text) is parse_entry(text)
+    assert parse_entry("◦") is parse_entry("void") is Single(VOID)
+    assert Void() is VOID
+
+
+def test_entry_interning_survives_copies_and_pickles():
+    u6_contexts = [Context([("x", entry_of_type(t))]) for t in U6]
+    entries = [e for g in u6_contexts + [nabla(g) for g in u6_contexts] for _, e in g.items()]
+    rng = random.Random(6)
+    entries += [gen_safe_context(rng, ["x"]).get("x") for _ in range(200)]
+    assert any(isinstance(e, Pair) and VOID in (e.left, e.right) for e in entries)
+    for e in entries:
+        assert parse_entry(str(e)) is e, e
+        assert copy.copy(e) is e, e
+        assert copy.deepcopy(e) is e, e
+        assert pickle.loads(pickle.dumps(e)) is e, e
+
+
+def test_contexts_over_reordered_names_compare_and_hash_equal():
+    one = Context([("x", parse_entry("<lin ?(un end).un end, ◦>")), ("y", parse_entry("un end"))])
+    other = Context([("y", parse_entry("un end")), ("x", parse_entry("<lin ?(un end).un end, void>"))])
+    assert one._index is not other._index
+    assert one == other and hash(one) == hash(other)
+    assert one != other.set("y", parse_entry("void"))
+
+
+def test_qualifiers_hash_by_identity():
+    # Interning keys hash their qualifier at C speed, not through Enum.__hash__.
+    assert Qual.__hash__ is object.__hash__
+    assert {Qual.LIN: 1, Qual.UN: 2}[Qual.UN] == 2

@@ -107,12 +107,22 @@ def test_parse_errors_carry_line_and_column():
         (parse_context, "x : un end\ny : lin\x85?(un end).un end", 2, 8),
         (parse_context, "x : <un end,\x0bun end>", 1, 13),
         (parse_process, "0 |\u2029 0", 1, 4),
+        # A context line is trimmed of the tokenizer's blanks alone.
+        (parse_context, "x : un end\xa0", 1, 11),
+        (parse_context, "x : un end\x0c", 1, 11),
+        (parse_context, "\u3000x : un end", 1, 1),
     ],
 )
 def test_parse_error_positions_are_pinned(parse, text, line, column):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text", ["x : un end\xa0", "x : un end\x0c", "\u3000x : un end", "x :\xa0un end"])
+def test_context_lines_keep_whitespace_that_starts_no_token(text):
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_context(text)
 
 
 @pytest.mark.parametrize("parse", [parse_process, parse_context])
@@ -309,10 +319,16 @@ def _assert_at_reference_token(err, parse, text):
         if message.startswith(("expected 'name : type' binding", "duplicate name")):
             assert err.column == 1, text
             return
-        # Read the binding's entry alone, at its place on its line.
         raw = text.split("\n")[line - 1]
+        if not message.startswith("in binding for "):
+            # A character that starts no token, before the binding's colon.
+            with pytest.raises(ParseError) as ref:
+                reference_tokenize(raw.split("#", 1)[0].partition(":")[0])
+            assert (message, err.column) == (ref.value.message, ref.value.column), text
+            return
+        # Read the binding's entry alone, at its place on its line.
         colon = raw.index(":") + 1
-        text = " " * colon + raw.split("#", 1)[0].rstrip()[colon:]
+        text = " " * colon + raw.split("#", 1)[0].rstrip(" \t\r")[colon:]
         line, message = 1, message.split(": ", 1)[1]
     try:
         tokens = reference_tokenize(text)
