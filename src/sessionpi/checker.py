@@ -8,11 +8,12 @@ backtracking.  Consumed linear slots are marked ``◦`` so later threads
 cannot reuse them.
 
 Dispatch lists the rules whose guards hold and takes the first.  The list
-of a structural node comes from one table by its class, and that of a
-send or receive from a table keyed by the channel's interned entry, filled
-the first time the entry is met; with auditing on, the length of each
-list is recorded, which on a safe context is at most one.  The tables hold
-the names of rule bodies, looked up on the checker at each call.
+of a structural node comes from one table by its class.  That of a
+variable, send or receive depends only on the interned entry of its subject
+and on the type or prefix it is used at, so it is kept in the memo of
+``syntax._memoized`` the first time the pair is met.  With auditing on, the
+length of each list is recorded, which on a safe context is at most one.
+Process rules name their bodies, looked up on the checker at each call.
 Location strings are built only when an audit record keeps them; a trace
 step keeps its subject and renders it when read, and an error formats its
 texts when they are read.
@@ -70,6 +71,7 @@ from .syntax import (
     Send,
     Type,
     Zero,
+    _memoized,
     barendregt_rename,
     render,
 )
@@ -216,18 +218,57 @@ def _consumed(entry: Entry, suffix: str) -> Entry:
     return Single(VOID)
 
 
-# The rules of the structural nodes, and the send or receive rules of each
-# (entry, Output or Input) once met.  A match is (rule, name of its body on
-# ``_Checker``, extra arguments of the body).
+@_memoized
+def _var_rules(entry: Entry, t: Type) -> list[tuple[str, Optional[Entry]]]:
+    """(rule, the entry it leaves, or ``None`` if it leaves ``entry``) for
+    each variable rule whose guard holds on a name with ``entry`` used at ``t``."""
+    if isinstance(t, ChanType):
+        if not isinstance(entry, Pair) or VOID in (entry.left, entry.right):
+            return []
+        left, right = entry.left, entry.right
+        qual = unfold(left).qual
+        if unfold(right).qual is not qual:
+            return []
+        if type_equal(left, t.left) and type_equal(right, t.right):
+            suffix = "-l"
+        elif type_equal(left, t.right) and type_equal(right, t.left):
+            suffix = "-r"
+        else:
+            return []
+        if qual is Qual.LIN:
+            return [("A-V-LL" + suffix, Pair(VOID, VOID))]
+        return [("A-V-UU" + suffix, None)]
+    qual = unfold(t).qual
+    hits = [
+        suffix
+        for suffix, item in _slots(entry)
+        if item is not VOID and unfold(item).qual is qual and type_equal(item, t)
+    ]
+    if qual is Qual.LIN:
+        rules = [("A-V-L" + suffix, _consumed(entry, suffix)) for suffix in hits]
+    elif len(hits) == 1:
+        # An unrestricted side is read alone only when the other side
+        # differs from it, that is, when exactly one slot matches ``t``.
+        rules = [("A-V-U" + hits[0], None)]
+    else:
+        rules = []
+    if isinstance(entry, Pair) and VOID not in (entry.left, entry.right):
+        if all(map(is_un_end, (entry.left, entry.right, t))):
+            rules.append(("A-V-EE", None))
+    return rules
+
+
+# The rules of the structural nodes.  A process rule match is (rule, name of
+# its body on ``_Checker``, extra arguments of the body).
 _STRUCTURAL = {
     Zero: [("A-Inact", "_rule_inact", ())],
     Repl: [("A-Repl", "_rule_repl", ())],
     Par: [("A-Par", "_rule_par", ())],
     New: [("A-Res", "_rule_res", ())],
 }
-_IO_RULES: dict[tuple[Entry, type], list[tuple]] = {}
 
 
+@_memoized
 def _io_rules(entry: Entry, kind: type) -> list[tuple]:
     """The matches of the send (``kind`` is ``Output``) or receive rules on a
     channel with ``entry``: linear rules before unrestricted ones, left first."""
@@ -260,58 +301,10 @@ class _Checker:
 
     # -- variables -----------------------------------------------------------
 
-    def _var_matches(self, g: Context, x: str, t: Type) -> list[tuple[str, Context]]:
-        """(rule, residual context) for each variable rule whose guard holds."""
-        entry = g.get(x)
-        if entry is None:
-            return []
-        if isinstance(t, ChanType):
-            if not isinstance(entry, Pair):
-                return []
-            left, right = entry.left, entry.right
-            if left is VOID or right is VOID:
-                return []
-            qual = unfold(left).qual
-            if unfold(right).qual is not qual:
-                return []
-            if type_equal(left, t.left) and type_equal(right, t.right):
-                suffix = "-l"
-            elif type_equal(left, t.right) and type_equal(right, t.left):
-                suffix = "-r"
-            else:
-                return []
-            if qual is Qual.LIN:
-                return [("A-V-LL" + suffix, g.set(x, Pair(VOID, VOID)))]
-            return [("A-V-UU" + suffix, g)]
-        qual = unfold(t).qual
-        hits = [
-            suffix
-            for suffix, item in _slots(entry)
-            if item is not VOID and unfold(item).qual is qual and type_equal(item, t)
-        ]
-        if qual is Qual.LIN:
-            matches = [("A-V-L" + suffix, g.set(x, _consumed(entry, suffix))) for suffix in hits]
-        elif len(hits) == 1:
-            # An unrestricted side is read alone only when the other side
-            # differs from it, that is, when exactly one slot matches ``t``.
-            matches = [("A-V-U" + hits[0], g)]
-        else:
-            matches = []
-        if (
-            isinstance(entry, Pair)
-            and entry.left is not VOID
-            and entry.right is not VOID
-            and is_un_end(entry.left)
-            and is_un_end(entry.right)
-            and is_un_end(t)
-        ):
-            matches.append(("A-V-EE", g))
-        return matches
-
     def check_var(self, g: Context, x: str, t: Type) -> Context:
-        found = self._first(self._var_matches(g, x, t), lambda: f"{x} : {t}")
+        entry = g.get(x)
+        found = self._first([] if entry is None else _var_rules(entry, t), lambda: f"{x} : {t}")
         if found is None:
-            entry = g.get(x)
             raise CheckError(
                 ErrorKind.NO_PATTERN,
                 lambda: f"{x} : {t}",
@@ -321,7 +314,8 @@ class _Checker:
                     else f"cannot use {x} (entry {entry}) at type {t}"
                 ),
             )
-        rule, out = found
+        rule, left = found
+        out = g if left is None else g.set(x, left)
         if self.trace is not None:
             self.trace.append(TraceStep(rule, g, (x, t), out))
         return out
@@ -334,13 +328,7 @@ class _Checker:
         if rules is not None:
             return rules
         entry = g.get(p.chan) if isinstance(p, (Output, Input)) else None
-        if entry is None:
-            return []
-        key = (entry, type(p))
-        rules = _IO_RULES.get(key)
-        if rules is None:
-            rules = _IO_RULES[key] = _io_rules(entry, type(p))
-        return rules
+        return [] if entry is None else _io_rules(entry, type(p))
 
     def check(self, g: Context, p: Process) -> Context:
         found = self._first(self._process_matches(g, p), lambda: _loc(p))

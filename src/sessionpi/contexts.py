@@ -6,8 +6,8 @@ which records that a linear end has been used up and is no longer available.
 Entries are interned like types: equal entries are one object, ``VOID`` is
 the only void marker, and ``==`` and ``hash`` take constant time.  So an
 entry's safety, unrestrictedness, used projection and closure against
-another entry are each computed once, in grow-only tables like those of
-``equality``.
+another entry are each computed once and kept, like the facts of
+``equality``, in the memo of ``syntax._memoized``.
 
 The algebra on contexts:
 
@@ -30,7 +30,8 @@ from functools import partial
 from typing import Iterable, Iterator, Union
 
 from .equality import head_qual, is_un_end, type_equal, unfold
-from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END, _Interned, _interned_node
+from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END
+from .syntax import _Interned, _interned_node, _memoized
 
 
 @_interned_node
@@ -303,46 +304,29 @@ def decl_to_context(i: DeclContext) -> Context:
 # safe / un predicates
 # ---------------------------------------------------------------------------
 
-# Memos on interned entries: safety, unrestrictedness, the used projection,
-# and the closure of an entry against another one.
-_SAFE_ENTRY: dict[Entry, bool] = {}
-_UN_ENTRY: dict[Entry, bool] = {}
-_USED: dict[Entry, Type] = {}
-_CLOSED: dict[tuple[Entry, Entry], Entry] = {}
-
-
+@_memoized
 def is_safe_entry(e: Entry) -> bool:
     """Well-pairedness of an entry.
 
     Single slots are always safe, and so is a pair with a void side; any
     other pair is safe when its channel type is (``is_safe_type``).
     """
-    safe = _SAFE_ENTRY.get(e)
-    if safe is None:
-        trivial = isinstance(e, Single) or VOID in (e.left, e.right)
-        safe = _SAFE_ENTRY[e] = trivial or is_safe_type(ChanType(e.left, e.right))
-    return safe
+    if isinstance(e, Single) or VOID in (e.left, e.right):
+        return True
+    return is_safe_type(ChanType(e.left, e.right))
 
 
-# Safety of each interned channel type checked so far.
-_SAFE: dict[ChanType, bool] = {}
-
-
+@_memoized
 def is_safe_type(t: Type) -> bool:
     """Well-pairedness of a type; endpoint types are always safe.
 
     A channel type is safe when one side is ``un end``, or when the two
     sides offer matching receive/send behaviours (payloads equal and safe,
-    and for linear sides a safe continuation pair).
+    and for linear sides a safe continuation pair).  Only the outermost
+    call is kept: a nested check may rest on pairs merely assumed safe, so
+    it runs in ``_safe_chan`` and is not kept.
     """
-    if not isinstance(t, ChanType):
-        return True
-    safe = _SAFE.get(t)
-    if safe is None:
-        # Only answers of the outermost call are stored: a nested one may
-        # rest on pairs merely assumed safe.
-        safe = _SAFE[t] = _safe_chan(t, frozenset())
-    return safe
+    return not isinstance(t, ChanType) or _safe_chan(t, frozenset())
 
 
 def _safe_chan(t: ChanType, assumed: frozenset) -> bool:
@@ -376,17 +360,14 @@ def is_un_item(m: Item) -> bool:
     return head_qual(m) is Qual.UN
 
 
+@_memoized
 def is_un_entry(e: Entry) -> bool:
-    un = _UN_ENTRY.get(e)
-    if un is None:
-        match e:
-            case Single(item):
-                un = _UN_ENTRY[e] = is_un_item(item)
-            case Pair(left, right):
-                un = _UN_ENTRY[e] = is_un_item(left) and is_un_item(right)
-            case _:
-                raise TypeError(f"not an entry: {e!r}")
-    return un
+    match e:
+        case Single(item):
+            return is_un_item(item)
+        case Pair(left, right):
+            return is_un_item(left) and is_un_item(right)
+    raise TypeError(f"not an entry: {e!r}")
 
 
 def is_un_context(g: Context) -> bool:
@@ -464,11 +445,17 @@ def _pointwise(g1: Context, g2: Context, combine, what: str) -> Context:
 
 
 def _close_entry(name: str, e1: Entry, e2: Entry) -> Entry:
-    closed = _CLOSED.get((e1, e2))
-    if closed is None:
-        # An undefined closure raises, naming ``name``, and is not kept.
-        closed = _CLOSED[e1, e2] = _combine(_close_item, name, e1, e2)
-    return closed
+    if type(e1) is not type(e2):
+        raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
+    return _closed(e1, e2)
+
+
+@_memoized
+def _closed(e1: Entry, e2: Entry) -> Entry:
+    """``e1 ▷ e2`` for two entries of one shape; undefined, it raises."""
+    if isinstance(e1, Single):
+        return Single(_close_item(e1.item, e2.item))
+    return Pair(_close_item(e1.left, e2.left), _close_item(e1.right, e2.right))
 
 
 def closure(g1: Context, g2: Context) -> Context:
@@ -480,14 +467,11 @@ def _used_item(m: Item) -> Endpoint:
     return UN_END if isinstance(m, Void) else m
 
 
+@_memoized
 def _used_entry(e: Entry) -> Type:
-    t = _USED.get(e)
-    if t is None:
-        if isinstance(e, Single):
-            t = _USED[e] = _used_item(e.item)
-        else:
-            t = _USED[e] = ChanType(_used_item(e.left), _used_item(e.right))
-    return t
+    if isinstance(e, Single):
+        return _used_item(e.item)
+    return ChanType(_used_item(e.left), _used_item(e.right))
 
 
 def used_map(g: Context) -> DeclContext:

@@ -21,7 +21,6 @@ self-deadlocking shapes.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Optional
@@ -42,6 +41,7 @@ from .syntax import (
     Send,
     Type,
     Zero,
+    _memoized,
     free_vars,
     is_endpoint,
 )
@@ -73,12 +73,12 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@functools.cache
+@_memoized
 def _entry_options(
     t: Type, left_uses: bool, right_uses: bool
 ) -> tuple[tuple[Optional[Type], Optional[Type]], ...]:
     """``_divisions(t)`` less the options that give a linear type to a side
-    that does not use the name; cached, since interned types hash in O(1)."""
+    that does not use the name; kept, since interned types hash in O(1)."""
     return tuple(
         (l, r) for l, r in _divisions(t)
         if (left_uses or l is None or is_un_type(l)) and (right_uses or r is None or is_un_type(r))

@@ -10,8 +10,7 @@ distinct subterm pairs is finite, so the procedure terminates.
 
 Types are interned (``syntax``), so identical types are one object: equality
 first tests ``is``, and ``unfold``, ``type_equal`` and ``io_head`` keep each
-answer in a table keyed by the interned nodes.  The tables only grow; they
-hold one entry per distinct type unfolded, pair compared and head asked for.
+answer in the memo of ``syntax._memoized``, keyed by the interned nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .syntax import (
     Send,
     Type,
     TypeVar,
+    _memoized,
 )
 
 
@@ -63,44 +63,29 @@ def _subst_in_type(t: Type, name: str, replacement: Endpoint) -> Type:
     return subst_type(t, name, replacement)
 
 
-# Memos on interned nodes: a type's unfolding, the verdict on a pair, and
-# a type's send or receive head (``False`` marks an absent key).
-_UNFOLDED: dict[Endpoint, Qualified] = {}
-_EQUAL: dict[tuple[Type, Type], bool] = {}
-_IO_HEAD: dict[tuple[Endpoint, type], Optional[Qualified]] = {}
-
-
+@_memoized
 def unfold(s: Endpoint) -> Qualified:
     """Unfold a closed endpoint type until the head is a qualified pre-type;
     an open or non-contractive one raises ``ValueError``."""
-    if isinstance(s, Qualified):
-        return s
-    head = _UNFOLDED.get(s)
-    if head is None:
-        head = s
-        seen: set[Rec] = set()
-        while isinstance(head, Rec):
-            if head in seen:  # interned, so a non-contractive type comes back
-                raise ValueError(f"cannot unfold non-contractive type {s}")
-            seen.add(head)
-            head = subst_type(head.body, head.var, head)
-        if not isinstance(head, Qualified):
-            raise ValueError(f"cannot unfold open type {s}")
-        _UNFOLDED[s] = head
+    head = s
+    seen: set[Rec] = set()
+    while isinstance(head, Rec):
+        if head in seen:  # interned, so a non-contractive type comes back
+            raise ValueError(f"cannot unfold non-contractive type {s}")
+        seen.add(head)
+        head = subst_type(head.body, head.var, head)
+    if not isinstance(head, Qualified):
+        raise ValueError(f"cannot unfold open type {s}")
     return head
 
 
+@_memoized
 def type_equal(t1: Type, t2: Type) -> bool:
-    """Equality of infinite unfoldings, modulo pair commutation."""
-    if t1 is t2:
-        return True
-    key = (t1, t2)
-    equal = _EQUAL.get(key)
-    if equal is None:
-        # Only answers of the outermost call are stored: a nested one may
-        # rest on pairs merely assumed equal.
-        equal = _EQUAL[key] = _type_eq(t1, t2, frozenset())
-    return equal
+    """Equality of infinite unfoldings, modulo pair commutation.
+
+    Only the outermost call is kept: a nested comparison may rest on pairs
+    merely assumed equal, so it runs in ``_type_eq`` and is not kept."""
+    return t1 is t2 or _type_eq(t1, t2, frozenset())
 
 
 def _type_eq(t1: Type, t2: Type, assumed: frozenset) -> bool:
@@ -170,6 +155,7 @@ def is_un_end(s: Endpoint) -> bool:
     return u.qual is Qual.UN and isinstance(u.pre, End)
 
 
+@_memoized
 def io_head(s: Endpoint, ctor) -> Optional[Qualified]:
     """The unfolded head of ``s`` when it is a ``ctor`` (``Send``/``Recv``)
     prefix that can fire, else ``None``.
@@ -177,11 +163,7 @@ def io_head(s: Endpoint, ctor) -> Optional[Qualified]:
     A linear prefix always can; an unrestricted one only when its
     continuation is ``s`` again, so that using it leaves the type unchanged.
     """
-    key = (s, ctor)
-    h = _IO_HEAD.get(key, False)
-    if h is False:
-        h = unfold(s)
-        if not isinstance(h.pre, ctor) or h.qual is Qual.UN and not type_equal(h.pre.cont, s):
-            h = None
-        _IO_HEAD[key] = h
+    h = unfold(s)
+    if not isinstance(h.pre, ctor) or h.qual is Qual.UN and not type_equal(h.pre.cont, s):
+        return None
     return h

@@ -288,6 +288,9 @@ def parse_context(src: str) -> Context:
             except ParseError as err:
                 raise ParseError(err.message, lineno, err.column) from None
             raise ParseError("expected 'name : type' binding", lineno, 1)
+        if name in _KEYWORDS:
+            column = len(name_part) - len(name_part.lstrip(_BLANKS)) + 1
+            raise ParseError(f"keyword {name!r} cannot name a binding", lineno, column)
         if name in seen:
             raise ParseError(f"duplicate name {name!r} in context", lineno, 1)
         seen.add(name)

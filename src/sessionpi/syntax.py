@@ -11,13 +11,15 @@ replication ``!P`` and inaction ``0``.
 
 All nodes are immutable; every operation here is a pure function.  Type
 nodes are interned (hash-consed): structurally equal types are one object,
-so ``==`` on types is ``is`` and hashing one takes constant time.  Equality
-of infinite unfoldings is ``equality.type_equal``.
+so ``==`` on types is ``is`` and hashing one takes constant time; the other
+layers keep the facts of interned nodes with ``_memoized``.  Equality of
+infinite unfoldings is ``equality.type_equal``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -74,6 +76,30 @@ class _Interned:
 # ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
 # leaves construction to ``_Interned.__new__``.
 _interned_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
+def _memoized(fn: Callable) -> Callable:
+    """``fn`` keeping each answer, ``None`` included, in a grow-only table
+    keyed by its arguments: a memo function (Michie, Nature 218, 1968).
+
+    Interned arguments hash in constant time, so a fact of types or entries
+    is computed once per distinct argument tuple.  A call that raises keeps
+    nothing, and the next one raises again.  The result is a plain function
+    under ``fn``'s module and name, so code that finds functions by name,
+    such as a tracer, sees it as ``fn``.
+    """
+    table: dict[tuple, object] = {}
+
+    @functools.wraps(fn)
+    def memo(*args):
+        try:
+            return table[args]
+        except KeyError:
+            pass
+        answer = table[args] = fn(*args)
+        return answer
+
+    return memo
 
 
 @_interned_node

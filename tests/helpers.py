@@ -20,7 +20,8 @@ from sessionpi.contexts import (
     is_safe_type,
     is_un_item,
 )
-from sessionpi.equality import type_equal, unfold
+from sessionpi.checker import _consumed, _slots
+from sessionpi.equality import is_un_end, type_equal, unfold
 from sessionpi.gen import (
     closed_session,
     delegation,
@@ -517,3 +518,56 @@ def reference_used_map(g: Context) -> DeclContext:
             case Pair(left, right):
                 out.append(ChanType(_used_item(left), _used_item(right)))
     return g.with_entries(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference variable rules: re-derived on every call
+# ---------------------------------------------------------------------------
+
+def reference_var_matches(g: Context, x: str, t: Type) -> list[tuple[str, Context]]:
+    """(rule, residual context) for each variable rule whose guard holds:
+    the checker's ``_var_matches`` before it kept the rules of each
+    (entry, type) pair."""
+    entry = g.get(x)
+    if entry is None:
+        return []
+    if isinstance(t, ChanType):
+        if not isinstance(entry, Pair):
+            return []
+        left, right = entry.left, entry.right
+        if left is VOID or right is VOID:
+            return []
+        qual = unfold(left).qual
+        if unfold(right).qual is not qual:
+            return []
+        if type_equal(left, t.left) and type_equal(right, t.right):
+            suffix = "-l"
+        elif type_equal(left, t.right) and type_equal(right, t.left):
+            suffix = "-r"
+        else:
+            return []
+        if qual is Qual.LIN:
+            return [("A-V-LL" + suffix, g.set(x, Pair(VOID, VOID)))]
+        return [("A-V-UU" + suffix, g)]
+    qual = unfold(t).qual
+    hits = [
+        suffix
+        for suffix, item in _slots(entry)
+        if item is not VOID and unfold(item).qual is qual and type_equal(item, t)
+    ]
+    if qual is Qual.LIN:
+        matches = [("A-V-L" + suffix, g.set(x, _consumed(entry, suffix))) for suffix in hits]
+    elif len(hits) == 1:
+        matches = [("A-V-U" + hits[0], g)]
+    else:
+        matches = []
+    if (
+        isinstance(entry, Pair)
+        and entry.left is not VOID
+        and entry.right is not VOID
+        and is_un_end(entry.left)
+        and is_un_end(entry.right)
+        and is_un_end(t)
+    ):
+        matches.append(("A-V-EE", g))
+    return matches

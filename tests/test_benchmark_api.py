@@ -49,7 +49,8 @@ def test_functions_the_tracer_reads_are_public_in_their_layer():
     # The tracer finds layer metrics by function name; a renamed, private or
     # moved function would turn its metric into 0 without an error.
     tracing = _tracing()
-    names = {"equality.unfold", "equality.type_equal", "declarative.enumerate_splits"}
+    names = {"equality.unfold", "equality.type_equal", "equality.io_head", "contexts.is_un_entry"}
+    names.add("declarative.enumerate_splits")
     names |= set(tracing._HOOKS)
     names |= {f"{layer}.{fn}" for layer, fns in tracing.PARTS.values() for fn in fns}
     for name in sorted(names):

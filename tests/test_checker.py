@@ -9,6 +9,7 @@ import pytest
 
 from sessionpi import (
     VOID,
+    ChanType,
     CheckError,
     Context,
     ErrorKind,
@@ -19,6 +20,8 @@ from sessionpi import (
     check,
     check_var,
     context_equal,
+    entry_of_type,
+    nabla,
     parse_context,
     parse_process,
     parse_type,
@@ -33,7 +36,7 @@ from sessionpi.gen import (
     un_server,
 )
 from tests.conftest import fixture_names, load_fixture
-from tests.helpers import accepted_family, deep_inputs
+from tests.helpers import accepted_family, deep_inputs, reference_var_matches
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
 
@@ -98,6 +101,48 @@ def test_var_missing_name():
     with pytest.raises(CheckError) as err:
         check_var(Context(), "x", E)
     assert err.value.kind is ErrorKind.NO_PATTERN
+
+
+def _var_cases():
+    """(entry, type) for every entry of the U6 contexts, their ``∇`` and 200
+    seeded safe entries, at every U6 type, at each side of the entry and at
+    each ordered pair of its sides."""
+    from tests.test_acceptance import U6
+
+    u6_entries = [entry_of_type(t) for t in U6]
+    rng = random.Random(14)
+    entries = u6_entries + [nabla(Context([("x", e)])).get("x") for e in u6_entries]
+    entries += [gen_safe_context(rng, ["x"]).get("x") for _ in range(200)]
+    for entry in entries:
+        sides = [m for m in ((entry.item,) if isinstance(entry, Single) else (entry.left, entry.right))
+                 if m is not VOID]
+        for t in [*U6, *sides, *(ChanType(a, b) for a in sides for b in sides)]:
+            yield entry, t
+
+
+def test_variable_rules_agree_with_the_reference():
+    from sessionpi.checker import AuditRecord, _Checker
+
+    matched = unmatched = 0
+    for entry, t in _var_cases():
+        g = Context([("y", Single(E)), ("x", entry)])
+        for name in ("x", "w"):  # "w" is not in the context
+            want = reference_var_matches(g, name, t)
+            # Twice: the second run reads the rules the first one kept.
+            for _ in range(2):
+                run = _Checker(trace=True, audit=True)
+                try:
+                    out = run.check_var(g, name, t)
+                except CheckError as err:
+                    assert not want and err.kind is ErrorKind.NO_PATTERN, (str(entry), str(t))
+                    unmatched += 1
+                else:
+                    rule, residual = want[0]
+                    assert run.trace[-1].rule == rule, (str(entry), str(t))
+                    assert list(out.items()) == list(residual.items()), (str(entry), str(t))
+                    matched += 1
+                assert run.audits == [AuditRecord(f"{name} : {t}", len(want))]
+    assert matched > 500 and unmatched > 500, (matched, unmatched)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpi import (
     ChanType,
@@ -21,6 +23,7 @@ from sessionpi import (
 from sessionpi.equality import io_head
 from sessionpi.gen import POLL_RECV, POLL_SEND, gen_endpoint, gen_type
 from tests.helpers import expansion_equal
+from tests.test_roundtrip import types
 
 
 def test_unfold_no_rec_is_identity():
@@ -116,6 +119,26 @@ def test_matches_bounded_expansion_oracle():
         if rng.random() < 0.25 and not isinstance(t1, ChanType):
             t2 = unfold(t1)  # equal by construction, syntactically different
         assert type_equal(t1, t2) == expansion_equal(t1, t2, depth=12)
+
+
+@st.composite
+def _type_pairs(draw):
+    """Two types drawn independently, or a type with one equal to it but
+    not identical as a rule: an endpoint's unfolding, a pair's commutation."""
+    t = draw(types())
+    if draw(st.booleans()):
+        return t, draw(types())
+    if isinstance(t, ChanType):
+        return t, ChanType(t.right, t.left)
+    return t, unfold(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_type_pairs())
+def test_type_equal_agrees_with_tree_expansion(pair):
+    t1, t2 = pair
+    assert type_equal(t1, t2) == expansion_equal(t1, t2)
+    assert type_equal(t2, t1) == type_equal(t1, t2)
 
 
 def test_dual_of_end_is_end():

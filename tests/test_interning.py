@@ -1,25 +1,34 @@
 """Hash-consed types and context entries: structurally equal ones are one
-object, built, parsed, unfolded, dualized, copied or unpickled."""
+object, built, parsed, unfolded, dualized, copied or unpickled; and the memo
+keyed by them keeps ``None`` answers and no errors."""
 
 import copy
 import pickle
 import random
 
+import pytest
+
 from sessionpi import (
     VOID,
     ChanType,
     Context,
+    ContextAlgebraError,
     End,
     Pair,
     Qual,
     Qualified,
+    Rec,
+    Recv,
     Send,
     Single,
+    TypeVar,
     UN_END,
     Void,
+    closure,
     dual,
     entry_of_type,
     nabla,
+    parse_context,
     parse_entry,
     parse_type,
     unfold,
@@ -94,3 +103,37 @@ def test_qualifiers_hash_by_identity():
     # Interning keys hash their qualifier at C speed, not through Enum.__hash__.
     assert Qual.__hash__ is object.__hash__
     assert {Qual.LIN: 1, Qual.UN: 2}[Qual.UN] == 2
+
+
+def test_a_failing_unfold_is_not_kept():
+    s = Rec("a", Rec("b", TypeVar("a")))  # non-contractive, built in code
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot unfold non-contractive type"):
+            unfold(s)
+
+
+@pytest.mark.parametrize(
+    "g1, g2, message",
+    [
+        ("x : un end", "x : lin !(un end).un end", "un end ▷ lin !(un end).un end is undefined"),
+        ("x : un end", "x : <un end, un end>", "entry shapes for x differ: un end vs <un end, un end>"),
+    ],
+)
+def test_an_undefined_closure_raises_the_same_message_twice(g1, g2, message):
+    for _ in range(2):
+        with pytest.raises(ContextAlgebraError) as err:
+            closure(parse_context(g1), parse_context(g2))
+        assert str(err.value) == message
+
+
+def test_a_none_io_head_is_kept(monkeypatch):
+    from sessionpi import equality
+
+    # A type no other test asks for, so that the first call below computes.
+    s = _deep_send_chain(37)
+    unfolds = []
+    original = equality.unfold
+    monkeypatch.setattr(equality, "unfold", lambda t: unfolds.append(t) or original(t))
+    assert equality.io_head(s, Recv) is None
+    assert equality.io_head(s, Recv) is None
+    assert unfolds == [s]

@@ -111,6 +111,9 @@ def test_parse_errors_carry_line_and_column():
         (parse_context, "x : un end\xa0", 1, 11),
         (parse_context, "x : un end\x0c", 1, 11),
         (parse_context, "\u3000x : un end", 1, 1),
+        # A keyword cannot name a binding: no process could use the name.
+        (parse_context, "new : un end", 1, 1),
+        (parse_context, "x : un end\n  void : lin !(un end).un end", 2, 3),
     ],
 )
 def test_parse_error_positions_are_pinned(parse, text, line, column):
@@ -123,6 +126,13 @@ def test_parse_error_positions_are_pinned(parse, text, line, column):
 def test_context_lines_keep_whitespace_that_starts_no_token(text):
     with pytest.raises(ParseError, match="unexpected character"):
         parse_context(text)
+
+
+@pytest.mark.parametrize("keyword", ["new", "lin", "un", "rec", "end", "void"])
+def test_keywords_cannot_name_bindings(keyword):
+    with pytest.raises(ParseError, match=f"keyword '{keyword}' cannot name a binding") as err:
+        parse_context(f"x : un end\n {keyword}\t: un end")
+    assert (err.value.line, err.value.column) == (2, 2)
 
 
 @pytest.mark.parametrize("parse", [parse_process, parse_context])
@@ -320,6 +330,12 @@ def _assert_at_reference_token(err, parse, text):
             assert err.column == 1, text
             return
         raw = text.split("\n")[line - 1]
+        if message.startswith("keyword "):
+            # A keyword as a binding name: the reference reads it there.
+            kind, name, _, column = reference_tokenize(raw.split("#", 1)[0].partition(":")[0])[0]
+            assert (message, err.column) == (f"keyword {name!r} cannot name a binding", column), text
+            assert kind == name, text
+            return
         if not message.startswith("in binding for "):
             # A character that starts no token, before the binding's colon.
             with pytest.raises(ParseError) as ref:
