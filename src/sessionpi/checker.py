@@ -27,8 +27,10 @@ Rule names carried in traces:
 * processes: A-Inact, A-Par, A-Repl, A-Res, A-Out-L(-l/-r), A-Out-Un(-l/-r),
   A-In-L(-l/-r), A-In-Un(-l/-r).
 
-The pair variants unwrap one side, rerun the checker on the resulting
-single-slot entry, and rewrap, which mirrors their premises exactly.
+Rules read an entry through its ``slots``, each with the suffix its rule
+names carry (``_slots``), so no rule has a case per entry shape.  The pair
+variants unwrap one side, rerun the checker on the resulting single-slot
+entry, and rewrap, which mirrors their premises exactly.
 """
 
 from __future__ import annotations
@@ -202,30 +204,31 @@ def _require_un(g: Context, p: Process, names: tuple[str, ...], where: str):
             )
 
 
+# The suffixes that rule names carry for the slots of an entry, by the
+# number of its slots: none for a single slot, the pair side for a pair.
+_SUFFIXES = {1: ("",), 2: ("-l", "-r")}
+
+
 def _slots(entry: Entry) -> tuple[tuple[str, Item], ...]:
     """The slots of an entry, each with the suffix its rule names carry."""
-    if isinstance(entry, Single):
-        return (("", entry.item),)
-    return (("-l", entry.left), ("-r", entry.right))
+    return tuple(zip(_SUFFIXES[len(entry.slots)], entry.slots))
 
 
 def _consumed(entry: Entry, suffix: str) -> Entry:
     """``entry`` with the slot named by ``suffix`` voided."""
-    if suffix == "-l":
-        return Pair(VOID, entry.right)
-    if suffix == "-r":
-        return Pair(entry.left, VOID)
-    return Single(VOID)
+    return type(entry)(*(VOID if s == suffix else item for s, item in _slots(entry)))
 
 
 @_memoized
 def _var_rules(entry: Entry, t: Type) -> list[tuple[str, Optional[Entry]]]:
     """(rule, the entry it leaves, or ``None`` if it leaves ``entry``) for
     each variable rule whose guard holds on a name with ``entry`` used at ``t``."""
+    slots = entry.slots
+    full_pair = len(slots) == 2 and VOID not in slots  # neither side used up
     if isinstance(t, ChanType):
-        if not isinstance(entry, Pair) or VOID in (entry.left, entry.right):
+        if not full_pair:
             return []
-        left, right = entry.left, entry.right
+        left, right = slots
         qual = unfold(left).qual
         if unfold(right).qual is not qual:
             return []
@@ -252,9 +255,8 @@ def _var_rules(entry: Entry, t: Type) -> list[tuple[str, Optional[Entry]]]:
         rules = [("A-V-U" + hits[0], None)]
     else:
         rules = []
-    if isinstance(entry, Pair) and VOID not in (entry.left, entry.right):
-        if all(map(is_un_end, (entry.left, entry.right, t))):
-            rules.append(("A-V-EE", None))
+    if full_pair and all(map(is_un_end, (*slots, t))):
+        rules.append(("A-V-EE", None))
     return rules
 
 
@@ -276,13 +278,15 @@ def _io_rules(entry: Entry, kind: type) -> list[tuple]:
         rule, ctor, lin_body, un_body = "A-Out", Send, "_rule_out_lin", "_rule_out_un"
     else:
         rule, ctor, lin_body, un_body = "A-In", Recv, "_rule_in_lin", "_rule_in_un"
-    heads = [(s, io_head(item, ctor)) for s, item in _slots(entry) if item is not VOID]
+    heads = [(s, item, io_head(item, ctor)) for s, item in _slots(entry) if item is not VOID]
     lin = [
-        (f"{rule}-L{s}", "_rule_pair_side", (s,)) if s else (f"{rule}-L", lin_body, ())
-        for s, h in heads
+        (f"{rule}-L{s}", "_rule_pair_side", (item, _consumed(entry, s)))
+        if s
+        else (f"{rule}-L", lin_body, ())
+        for s, item, h in heads
         if h is not None and h.qual is Qual.LIN
     ]
-    un = [(f"{rule}-Un{s}", un_body, (h,)) for s, h in heads if h is not None and h.qual is Qual.UN]
+    un = [(f"{rule}-Un{s}", un_body, (h,)) for s, _, h in heads if h is not None and h.qual is Qual.UN]
     return lin + un
 
 
@@ -382,16 +386,14 @@ class _Checker:
         _require_un(g2, p, (p.chan, p.binder), "in the continuation")
         return g2.remove(p.binder).set(p.chan, Single(VOID))
 
-    def _rule_pair_side(self, g: Context, p: Process, suffix: str) -> Context:
+    def _rule_pair_side(self, g: Context, p: Process, side: Item, consumed: Entry) -> Context:
         # Pair variants: run the linear endpoint rule on one side alone, then
-        # put the voided side back next to the other one.
-        entry = g.get(p.chan)
-        inner = entry.left if suffix == "-l" else entry.right
-        inner_out = self.check(g.set(p.chan, Single(inner)), p)
+        # put back the pair with that side voided (``consumed``).
+        inner_out = self.check(g.set(p.chan, Single(side)), p)
         got = inner_out.get(p.chan)
         if got != Single(VOID):
             raise AuditViolation(f"endpoint rule left {p.chan} at {got}, expected ◦")
-        return inner_out.set(p.chan, _consumed(entry, suffix))
+        return inner_out.set(p.chan, consumed)
 
     def _rule_out_un(self, g: Context, p: Output, head: Qualified) -> Context:
         # Send on an unrestricted endpoint: the type repeats itself, so the

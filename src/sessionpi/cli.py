@@ -4,7 +4,8 @@ Subcommands: ``check`` (run the type checker), ``oracle`` (compare the
 checker against the split-based derivability search), ``reduce`` (print a
 reduction trace), ``congruence`` (fuzz the checker with random one-step
 congruence rewrites), ``table`` (recompute the context-algebra regression
-table).
+table).  A subcommand's report is one JSON object: ``--json`` prints it as
+is, and the default output prints it for people.
 
 Exit codes: 0 accept/agree, 1 reject/diverge/mismatch, 2 usage, parse or
 input error (a missing or unreadable file, a file that is not UTF-8, a
@@ -19,7 +20,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .checker import CheckError, CheckResult, type_check
@@ -38,42 +38,10 @@ from .syntax import barendregt_rename
 from .table import evaluate_table, expected_rows
 
 
-@dataclass
-class RunReport:
-    command: str
-    accepted: Optional[bool] = None
-    residual: Optional[str] = None
-    error: Optional[dict] = None
-    trace: Optional[list[dict]] = None
-    audits: Optional[list[dict]] = None
-    oracle_verdict: Optional[str] = None
-    steps: Optional[list[dict]] = None
-    rows: Optional[list[dict]] = None
-    divergence: Optional[dict] = None
-    iterations_run: Optional[int] = None
-    timing_ms: float = 0.0
-    exit_code: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {"command": self.command, "timing_ms": self.timing_ms}
-        for key in (
-            "accepted",
-            "residual",
-            "error",
-            "trace",
-            "audits",
-            "oracle_verdict",
-            "steps",
-            "rows",
-            "divergence",
-            "iterations_run",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        payload.update(self.extra)
-        return json.dumps(payload, indent=2, ensure_ascii=False)
+def _report(command: str, started: float, **fields) -> dict:
+    """The JSON object of a run: ``command``, the milliseconds since
+    ``started``, then ``fields``; a command adds its other keys in order."""
+    return {"command": command, "timing_ms": (time.perf_counter() - started) * 1000, **fields}
 
 
 def _error_dict(err: CheckError) -> dict:
@@ -103,67 +71,54 @@ def _load_problem(args) -> tuple[Context, "Process"]:
     return ctx, process
 
 
-def cmd_check(args) -> RunReport:
-    report = RunReport("check")
+def cmd_check(args) -> tuple[dict, int]:
     started = time.perf_counter()
     ctx, process = _load_problem(args)
     result = type_check(ctx, process, trace=args.trace, audit=args.audit)
-    report.timing_ms = (time.perf_counter() - started) * 1000
-    report.accepted = result.accepted
+    report = _report("check", started, accepted=result.accepted)
     if result.residual is not None:
-        report.residual = context_file_text(result.residual)
+        report["residual"] = context_file_text(result.residual)
     if result.error is not None:
-        report.error = _error_dict(result.error)
+        report["error"] = _error_dict(result.error)
     if args.trace:
-        report.trace = _trace_dicts(result)
+        report["trace"] = _trace_dicts(result)
     if args.audit and result.audits is not None:
-        report.audits = [{"site": a.site, "count": a.count} for a in result.audits]
-    report.exit_code = 0 if result.accepted else 1
-    return report
+        report["audits"] = [{"site": a.site, "count": a.count} for a in result.audits]
+    return report, 0 if result.accepted else 1
 
 
-def cmd_oracle(args) -> RunReport:
-    report = RunReport("oracle")
+def cmd_oracle(args) -> tuple[dict, int]:
     started = time.perf_counter()
     ctx, process = _load_problem(args)
     decl = to_decl_context(ctx)  # rejects void entries
     result = type_check(ctx, process, trace=False)
     oracle = derivable(decl, result.process, bound=args.bound)
-    report.timing_ms = (time.perf_counter() - started) * 1000
-    report.accepted = result.accepted
+    report = _report("oracle", started, accepted=result.accepted)
     if result.error is not None:
-        report.error = _error_dict(result.error)
-    report.oracle_verdict = oracle.verdict.value
+        report["error"] = _error_dict(result.error)
+    report["oracle_verdict"] = oracle.verdict.value
     if oracle.verdict is Verdict.INCONCLUSIVE:
-        agreement = "inconclusive"
-        report.exit_code = 3
+        agreement, code = "inconclusive", 3
     elif result.accepted == bool(oracle):
-        agreement = "agree"
-        report.exit_code = 0
+        agreement, code = "agree", 0
     else:
-        agreement = "disagree"
-        report.exit_code = 1
-    report.extra["agreement"] = agreement
-    report.extra["oracle_bound"] = args.bound
-    return report
+        agreement, code = "disagree", 1
+    report["agreement"] = agreement
+    report["oracle_bound"] = args.bound
+    return report, code
 
 
-def cmd_reduce(args) -> RunReport:
-    report = RunReport("reduce")
+def cmd_reduce(args) -> tuple[dict, int]:
     started = time.perf_counter()
     process = parse_process(_read(args.process_file))
     steps = [{"step": 0, "rule": "-", "term": pretty(process)}]
     labeled = reduce_trace_labeled(process, args.steps, radius=args.radius)
     for number, (chan, reduct) in enumerate(labeled, start=1):
         steps.append({"step": number, "rule": f"R-Com on {chan}", "term": pretty(reduct)})
-    report.timing_ms = (time.perf_counter() - started) * 1000
-    report.steps = steps
-    report.exit_code = 0
-    return report
+    return _report("reduce", started, steps=steps), 0
 
 
-def cmd_congruence(args) -> RunReport:
-    report = RunReport("congruence")
+def cmd_congruence(args) -> tuple[dict, int]:
     started = time.perf_counter()
     ctx, process = _load_problem(args)
     rng = random.Random(args.seed)
@@ -171,6 +126,7 @@ def cmd_congruence(args) -> RunReport:
     baseline = type_check(ctx, current, trace=False)
     size_cap = 400
     runs = 0
+    divergence = None
     for iteration in range(args.iterations):
         steps = congruence_steps(barendregt_rename(current, avoid=ctx.names()))
         if len(str(current)) > size_cap:
@@ -193,7 +149,7 @@ def cmd_congruence(args) -> RunReport:
             and context_equal(result.residual, baseline.residual)
         )
         if not (same_verdict and same_residual):
-            report.divergence = {
+            divergence = {
                 "iteration": iteration,
                 "rule": step.rule,
                 "direction": step.direction,
@@ -206,15 +162,14 @@ def cmd_congruence(args) -> RunReport:
             break
         current = rewritten
         runs = iteration + 1
-    report.timing_ms = (time.perf_counter() - started) * 1000
-    report.iterations_run = runs
-    report.accepted = report.divergence is None
-    report.exit_code = 0 if report.divergence is None else 1
-    return report
+    report = _report("congruence", started, accepted=divergence is None)
+    if divergence is not None:
+        report["divergence"] = divergence
+    report["iterations_run"] = runs
+    return report, 0 if divergence is None else 1
 
 
-def cmd_table(args) -> RunReport:
-    report = RunReport("table")
+def cmd_table(args) -> tuple[dict, int]:
     started = time.perf_counter()
     outcomes = evaluate_table()
     rows = []
@@ -229,59 +184,54 @@ def cmd_table(args) -> RunReport:
                 "mismatches": outcome.mismatches,
             }
         )
-    report.timing_ms = (time.perf_counter() - started) * 1000
-    report.rows = rows
     matched = sum(1 for r in rows if r["ok"])
-    report.extra["matched"] = f"{matched}/{len(rows)}"
-    report.exit_code = 0 if matched == len(rows) else 1
-    return report
+    report = _report("table", started, rows=rows, matched=f"{matched}/{len(rows)}")
+    return report, 0 if matched == len(rows) else 1
 
 
-def _print_human(report: RunReport):
-    if report.command == "check":
-        verdict = "accepted" if report.accepted else "rejected"
-        print(f"check: {verdict} ({report.timing_ms:.1f} ms)")
-        if report.residual is not None:
-            print(f"residual context: {report.residual}")
-        if report.error is not None:
-            print(f"error: {report.error['kind']} at {report.error['location']}: "
-                  f"{report.error['detail']}")
-        if report.trace is not None:
-            for step in report.trace:
-                print(f"  [{step['rule']}] {step['subject']}")
-                print(f"      in:  {step['input']}")
-                print(f"      out: {step['output']}")
-        if report.audits is not None:
-            worst = max((a["count"] for a in report.audits), default=0)
-            print(f"pattern audit: {len(report.audits)} call sites, max matches {worst}")
-    elif report.command == "oracle":
+def _print_human(report: dict):
+    command, ms = report["command"], report["timing_ms"]
+    error, divergence = report.get("error"), report.get("divergence")
+    if command == "check":
+        verdict = "accepted" if report["accepted"] else "rejected"
+        print(f"check: {verdict} ({ms:.1f} ms)")
+        if "residual" in report:
+            print(f"residual context: {report['residual']}")
+        if error is not None:
+            print(f"error: {error['kind']} at {error['location']}: {error['detail']}")
+        for step in report.get("trace", ()):
+            print(f"  [{step['rule']}] {step['subject']}")
+            print(f"      in:  {step['input']}")
+            print(f"      out: {step['output']}")
+        if "audits" in report:
+            worst = max((a["count"] for a in report["audits"]), default=0)
+            print(f"pattern audit: {len(report['audits'])} call sites, max matches {worst}")
+    elif command == "oracle":
         print(
-            f"oracle: checker={'accept' if report.accepted else 'reject'} "
-            f"oracle={report.oracle_verdict} -> {report.extra['agreement']} "
-            f"({report.timing_ms:.1f} ms)"
+            f"oracle: checker={'accept' if report['accepted'] else 'reject'} "
+            f"oracle={report['oracle_verdict']} -> {report['agreement']} ({ms:.1f} ms)"
         )
-        if report.error is not None:
-            print(f"checker error: {report.error['kind']}: {report.error['detail']}")
-    elif report.command == "reduce":
-        for step in report.steps:
+        if error is not None:
+            print(f"checker error: {error['kind']}: {error['detail']}")
+    elif command == "reduce":
+        for step in report["steps"]:
             print(f"{step['step']:3d} {step['rule']:<16} {step['term']}")
-    elif report.command == "congruence":
-        if report.divergence is None:
-            print(f"congruence: no divergence in {report.iterations_run} rewrites "
-                  f"({report.timing_ms:.1f} ms)")
+    elif command == "congruence":
+        if divergence is None:
+            print(f"congruence: no divergence in {report['iterations_run']} rewrites ({ms:.1f} ms)")
         else:
-            d = report.divergence
+            d = divergence
             print(f"congruence: DIVERGENCE at iteration {d['iteration']} "
                   f"({d['rule']} {d['direction']} at {d['path']})")
             print(f"  before: {d['before']}")
             print(f"  after:  {d['after']}")
-    elif report.command == "table":
-        for row in report.rows:
+    elif command == "table":
+        for row in report["rows"]:
             mark = "ok" if row["ok"] else "MISMATCH"
             print(f"row {row['row']:2d}: {row['g1']} / {row['g2']} / {row['g3']} -> {mark}")
             for miss in row["mismatches"]:
                 print(f"    {miss}")
-        print(f"table: {report.extra['matched']} rows match")
+        print(f"table: {report['matched']} rows match")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +284,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _HANDLERS[args.command](args)
+        report, code = _HANDLERS[args.command](args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -351,11 +301,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Checking and the oracle recurse on depth.
         print(f"input too deep: {err}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
-        print(report.to_json())
+    if args.json:
+        print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
         _print_human(report)
-    return report.exit_code
+    return code
 
 
 if __name__ == "__main__":

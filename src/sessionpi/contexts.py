@@ -1,24 +1,27 @@
 """Typing contexts: entries with a consumed-endpoint marker, and their algebra.
 
 An entry is either a single endpoint slot or a pair of slots (the two ends
-of one channel).  A slot holds an endpoint type or the void marker ``◦``,
-which records that a linear end has been used up and is no longer available.
-Entries are interned like types: equal entries are one object, ``VOID`` is
-the only void marker, and ``==`` and ``hash`` take constant time.  So an
-entry's safety, unrestrictedness, used projection and closure against
-another entry are each computed once and kept, like the facts of
-``equality``, in the memo of ``syntax._memoized``.
+of one channel); its ``slots`` are ``(item,)`` or ``(left, right)``.  A
+slot holds an endpoint type or the void marker ``◦``, which records that a
+linear end has been used up and is no longer available.  Entries are
+interned like types: equal entries are one object, ``VOID`` is the only
+void marker, and ``==`` and ``hash`` take constant time.  So an entry's
+safety, unrestrictedness, used projection and closure against another
+entry are each computed once and kept, like the facts of ``equality``, in
+the memo of ``syntax._memoized``.
 
-The algebra on contexts:
+The algebra on contexts acts slot by slot: each operation below is one
+operation on items, applied over the ``slots`` of an entry (and, for the
+binary ones, of the entry of the same name and shape in the other context).
 
 * ``closure`` (``g1 ▷ g2``)  — the portion of ``g1`` consumed in producing
-  ``g2`` (pointwise, partial);
+  ``g2`` (partial);
 * ``used_map``               — projects a context to a void-free declarative
   context, reading consumed slots as ``un end``;
 * ``nabla``                  — the fully-consumed shape of a context (every
   linear slot voided);
-* ``update_context`` (``⊎``) — pointwise combination filling void slots,
-  defined only when no linear capability would be duplicated.
+* ``update_context`` (``⊎``) — combination filling void slots, defined only
+  when no linear capability would be duplicated.
 
 Everything here is immutable and pure.
 """
@@ -51,6 +54,10 @@ Item = Union[Endpoint, Void]
 class Single(_Interned):
     item: Item
 
+    @property
+    def slots(self) -> tuple[Item]:
+        return (self.item,)
+
     def __str__(self) -> str:
         return str(self.item)
 
@@ -59,6 +66,10 @@ class Single(_Interned):
 class Pair(_Interned):
     left: Item
     right: Item
+
+    @property
+    def slots(self) -> tuple[Item, Item]:
+        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"<{self.left}, {self.right}>"
@@ -79,12 +90,9 @@ def entry_of_type(t: Type) -> Entry:
 
 def type_of_entry(e: Entry) -> Type:
     """Inverse of ``entry_of_type``; defined on void-free entries only."""
-    match e:
-        case Single(item) if not isinstance(item, Void):
-            return item
-        case Pair(left, right) if not isinstance(left, Void) and not isinstance(right, Void):
-            return ChanType(left, right)
-    raise ContextAlgebraError(f"entry {e} contains a void slot")
+    if VOID in e.slots:
+        raise ContextAlgebraError(f"entry {e} contains a void slot")
+    return _used_entry(e)
 
 
 def item_equal(m1: Item, m2: Item) -> bool:
@@ -95,19 +103,14 @@ def item_equal(m1: Item, m2: Item) -> bool:
 
 def entry_equal(e1: Entry, e2: Entry) -> bool:
     """Slot-by-slot equality; pair sides are positional, not commuted."""
-    match (e1, e2):
-        case (Single(a), Single(b)):
-            return item_equal(a, b)
-        case (Pair(a, b), Pair(c, d)):
-            return item_equal(a, c) and item_equal(b, d)
-    return False
+    return type(e1) is type(e2) and all(map(item_equal, e1.slots, e2.slots))
 
 
 class _Index:
-    """The names of a context in order, each with its slot.
+    """The names of a context in order, each with its position.
 
     Contexts over the same names in the same order share one index, and
-    each holds only a tuple of entries, one per slot.  The indexes that
+    each holds only a tuple of entries, one per name.  The indexes that
     ``add``, ``remove`` and ``subcontext`` derive are kept on the index
     they come from, so a run that binds and drops the same names reuses
     them.  An index made by adding a name answers the removal of that name
@@ -117,11 +120,11 @@ class _Index:
     of all indexes.
     """
 
-    __slots__ = ("names", "slots", "_plus", "_minus", "_subs", "_origin", "__weakref__")
+    __slots__ = ("names", "positions", "_plus", "_minus", "_subs", "_origin", "__weakref__")
 
     def __init__(self, names: tuple[str, ...]):
         self.names = names
-        self.slots = dict(zip(names, range(len(names))))
+        self.positions = dict(zip(names, range(len(names))))
         self._plus: dict[str, _Index] | None = None
         self._minus: dict[str, _Index] | None = None
         self._subs: dict[tuple[str, ...], _Index] | None = None
@@ -165,7 +168,7 @@ class _Index:
 class Context:
     """Immutable finite map from names to entries.
 
-    A context is a tuple of entries over an index from names to slots
+    A context is a tuple of entries over an index from names to positions
     (``_Index``), which it shares with the contexts it derives: ``set``
     copies the tuple and keeps the index, so a context costs one pointer
     per name.  ``items`` runs in insertion order; ``==`` and ``hash`` do
@@ -187,11 +190,11 @@ class Context:
         return Context, (list(self.items()),)
 
     def get(self, name: str) -> Entry | None:
-        k = self._index.slots.get(name)
+        k = self._index.positions.get(name)
         return None if k is None else self._entries[k]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index.slots
+        return name in self._index.positions
 
     def names(self) -> frozenset[str]:
         return frozenset(self._index.names)
@@ -201,16 +204,16 @@ class Context:
 
     def set(self, name: str, entry: Entry) -> "Context":
         entries = list(self._entries)
-        entries[self._index.slots[name]] = entry
+        entries[self._index.positions[name]] = entry
         return _context(self._index, tuple(entries))
 
     def add(self, name: str, entry: Entry) -> "Context":
-        if name in self._index.slots:
+        if name in self._index.positions:
             raise KeyError(f"{name} already bound")
         return _context(self._index.plus(name), self._entries + (entry,))
 
     def remove(self, name: str) -> "Context":
-        k = self._index.slots[name]
+        k = self._index.positions[name]
         return _context(self._index.minus(name), self._entries[:k] + self._entries[k + 1 :])
 
     def with_entries(self, entries: Iterable[Entry]) -> "Context":
@@ -238,7 +241,7 @@ class Context:
         if len(self._entries) != len(other._entries):
             return False
         for name, entry in self.items():
-            k = other._index.slots.get(name)
+            k = other._index.positions.get(name)
             if k is None or other._entries[k] != entry:
                 return False
         return True
@@ -308,12 +311,10 @@ def decl_to_context(i: DeclContext) -> Context:
 def is_safe_entry(e: Entry) -> bool:
     """Well-pairedness of an entry.
 
-    Single slots are always safe, and so is a pair with a void side; any
-    other pair is safe when its channel type is (``is_safe_type``).
+    An entry with a void slot is safe; any other entry is safe when its
+    type is (``is_safe_type``), so single slots always are.
     """
-    if isinstance(e, Single) or VOID in (e.left, e.right):
-        return True
-    return is_safe_type(ChanType(e.left, e.right))
+    return VOID in e.slots or is_safe_type(_used_entry(e))
 
 
 @_memoized
@@ -362,12 +363,7 @@ def is_un_item(m: Item) -> bool:
 
 @_memoized
 def is_un_entry(e: Entry) -> bool:
-    match e:
-        case Single(item):
-            return is_un_item(item)
-        case Pair(left, right):
-            return is_un_item(left) and is_un_item(right)
-    raise TypeError(f"not an entry: {e!r}")
+    return all(map(is_un_item, e.slots))
 
 
 def is_un_context(g: Context) -> bool:
@@ -420,20 +416,22 @@ def _close_item(m1: Item, m2: Item) -> Item:
     return m1  # un p ▷ un p = un p
 
 
+def _slotwise(op, e: Entry, *others: Entry) -> Entry:
+    """The entry of ``e``'s shape whose every slot is ``op`` of the slots
+    at that place in ``e`` and in ``others``, which have ``e``'s shape."""
+    return type(e)(*map(op, e.slots, *(o.slots for o in others)))
+
+
 def _combine(op, name: str, e1: Entry, e2: Entry) -> Entry:
-    """Combine the entries of ``name`` in two contexts slot by slot with ``op``."""
-    match (e1, e2):
-        case (Single(a), Single(b)):
-            return Single(op(a, b))
-        case (Pair(a, b), Pair(c, d)):
-            return Pair(op(a, c), op(b, d))
-    raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
+    """``op`` on the entries of ``name`` in two contexts, of one shape."""
+    if type(e1) is not type(e2):
+        raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
+    return op(e1, e2)
 
 
-def _pointwise(g1: Context, g2: Context, combine, what: str) -> Context:
-    """Combine two contexts of equal domain entry by entry with ``combine``
-    (name, entry in ``g1``, entry in ``g2``); over one index the entries
-    pair up by position."""
+def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
+    """Combine two contexts of equal domain entry by entry with ``op``; over
+    one index the entries pair up by position."""
     index = g1._index
     if index is g2._index:
         others = g2._entries
@@ -441,26 +439,18 @@ def _pointwise(g1: Context, g2: Context, combine, what: str) -> Context:
         raise ContextAlgebraError(f"{what} needs contexts with equal domains")
     else:
         others = map(g2.get, index.names)
-    return _context(index, tuple(map(combine, index.names, g1._entries, others)))
-
-
-def _close_entry(name: str, e1: Entry, e2: Entry) -> Entry:
-    if type(e1) is not type(e2):
-        raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
-    return _closed(e1, e2)
+    return _context(index, tuple(map(partial(_combine, op), index.names, g1._entries, others)))
 
 
 @_memoized
 def _closed(e1: Entry, e2: Entry) -> Entry:
     """``e1 ▷ e2`` for two entries of one shape; undefined, it raises."""
-    if isinstance(e1, Single):
-        return Single(_close_item(e1.item, e2.item))
-    return Pair(_close_item(e1.left, e2.left), _close_item(e1.right, e2.right))
+    return _slotwise(_close_item, e1, e2)
 
 
 def closure(g1: Context, g2: Context) -> Context:
     """``g1 ▷ g2``: what ``g1`` spent to become ``g2``.  Pointwise, partial."""
-    return _pointwise(g1, g2, _close_entry, "closure")
+    return _pointwise(g1, g2, _closed, "closure")
 
 
 def _used_item(m: Item) -> Endpoint:
@@ -469,9 +459,9 @@ def _used_item(m: Item) -> Endpoint:
 
 @_memoized
 def _used_entry(e: Entry) -> Type:
-    if isinstance(e, Single):
-        return _used_item(e.item)
-    return ChanType(_used_item(e.left), _used_item(e.right))
+    """The type of ``e`` with each void slot read as ``un end``."""
+    slots = tuple(map(_used_item, e.slots))
+    return ChanType(*slots) if len(slots) == 2 else slots[0]
 
 
 def used_map(g: Context) -> DeclContext:
@@ -487,14 +477,7 @@ def _nabla_item(m: Item) -> Item:
 
 def nabla(g: Context) -> Context:
     """The fully-consumed shape of ``g``: every linear slot set to ◦."""
-    out = []
-    for _, e in g.items():
-        match e:
-            case Single(item):
-                out.append(Single(_nabla_item(item)))
-            case Pair(left, right):
-                out.append(Pair(_nabla_item(left), _nabla_item(right)))
-    return g.with_entries(out)
+    return g.with_entries(_slotwise(_nabla_item, e) for e in g._entries)
 
 
 def _update_item(m1: Item, m2: Item) -> Item:
@@ -509,4 +492,4 @@ def _update_item(m1: Item, m2: Item) -> Item:
 
 def update_context(g1: Context, g2: Context) -> Context:
     """``g1 ⊎ g2``: pointwise combination; linear slots must not collide."""
-    return _pointwise(g1, g2, partial(_combine, _update_item), "update")
+    return _pointwise(g1, g2, partial(_slotwise, _update_item), "update")

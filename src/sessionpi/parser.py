@@ -288,11 +288,11 @@ def parse_context(src: str) -> Context:
             except ParseError as err:
                 raise ParseError(err.message, lineno, err.column) from None
             raise ParseError("expected 'name : type' binding", lineno, 1)
+        column = len(name_part) - len(name_part.lstrip(_BLANKS)) + 1  # where the name starts
         if name in _KEYWORDS:
-            column = len(name_part) - len(name_part.lstrip(_BLANKS)) + 1
             raise ParseError(f"keyword {name!r} cannot name a binding", lineno, column)
         if name in seen:
-            raise ParseError(f"duplicate name {name!r} in context", lineno, 1)
+            raise ParseError(f"duplicate name {name!r} in context", lineno, column)
         seen.add(name)
         try:
             entries.append((name, parse_entry(entry_part)))

@@ -170,19 +170,22 @@ def test_non_utf8_input_is_usage_error_without_traceback(tmp_path, command, bad)
 
 
 def _oldest_supported_python() -> str:
-    """The ``python3.10`` on PATH, the floor ``pyproject.toml`` declares, or
-    a skip saying why there is none that runs."""
-    exe = shutil.which("python3.10")
-    if exe is None:
-        pytest.skip("no python3.10 executable on PATH")
-    probe = subprocess.run(
-        [exe, "-c", "import sys; print(sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60,
-    )
-    if probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
+    """A Python 3.10, the floor ``pyproject.toml`` declares: the ``python3.10``
+    on PATH, else one installed under ``$PYENV_ROOT`` (``~/.pyenv`` if unset),
+    or a skip saying why none of them runs."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which("python3.10"), *sorted(map(str, pyenv.glob("versions/3.10*/bin/python3.10")))]
+    failures = []
+    for exe in filter(None, candidates):
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
+            return exe
         first_line = (probe.stderr.strip().splitlines() or ["no error output"])[0]
-        pytest.skip(f"python3.10 on PATH does not run as Python 3.10: {first_line}")
-    return exe
+        failures.append(f"{exe}: {first_line}")
+    pytest.skip(f"no python3.10 runs as Python 3.10: {'; '.join(failures) or 'none found'}")
 
 
 def test_cli_checks_every_fixture_on_the_oldest_supported_python():
@@ -326,6 +329,12 @@ def test_congruence_fuzz_detects_injected_bug(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "DIVERGENCE" in out
+    code, out, _ = run_cli(capsys, "congruence", str(proc), "--ctx", str(ctx), "--iterations", "50",
+                           "--seed", "1", "--json")
+    assert code == 1
+    assert list(json.loads(out)) == [
+        "command", "timing_ms", "accepted", "divergence", "iterations_run"
+    ]
 
 
 def test_congruence_fuzz_deterministic_reports(capsys):
@@ -349,6 +358,34 @@ def test_table_command_all_rows(capsys):
     code, out, _ = run_cli(capsys, "table")
     assert code == 0
     assert "24/24 rows match" in out
+
+
+def _json_keys(capsys, *argv) -> list[str]:
+    _, out, _ = run_cli(capsys, *argv, "--json")
+    return list(json.loads(out))
+
+
+def test_json_reports_keep_their_key_order(capsys):
+    # The golden file stores sorted keys; this pins the order the CLI prints.
+    head = ["command", "timing_ms"]
+    check = ("check", "--trace", "--audit")
+    assert _json_keys(capsys, *check, *fixture_args("poll")) == head + [
+        "accepted", "residual", "trace", "audits"
+    ]
+    assert _json_keys(capsys, *check, *fixture_args("lin_then_un_misuse")) == head + [
+        "accepted", "error", "trace", "audits"
+    ]
+    oracle = ["oracle_verdict", "agreement", "oracle_bound"]
+    assert _json_keys(capsys, "oracle", *fixture_args("poll")) == head + ["accepted", *oracle]
+    assert _json_keys(capsys, "oracle", *fixture_args("witness_input_then_output")) == head + [
+        "accepted", "error", *oracle
+    ]
+    ping = str(FIXTURES / "ping" / "process.pi")
+    assert _json_keys(capsys, "reduce", ping) == head + ["steps"]
+    assert _json_keys(capsys, "congruence", *fixture_args("poll"), "--iterations", "5") == head + [
+        "accepted", "iterations_run"
+    ]
+    assert _json_keys(capsys, "table") == head + ["rows", "matched"]
 
 
 def test_table_json_round_trip(capsys):

@@ -4,6 +4,9 @@ under single congruence rewrites."""
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sessionpi import (
     VOID,
     Context,
@@ -20,7 +23,7 @@ from sessionpi import (
 )
 from sessionpi.checker import _Checker
 from sessionpi.contexts import entry_equal, is_un_entry
-from sessionpi.gen import gen_safe_entry
+from sessionpi.gen import closed_session, delegation, gen_safe_entry, lin_pingpong, poll_system, un_server
 from sessionpi.semantics import congruence_steps
 from tests.helpers import accepted_family
 
@@ -106,6 +109,32 @@ def test_congruence_rewrites_preserve_verdicts():
                 divergences.append((step.rule, step.direction, step.path))
     assert pairs >= 100
     assert divergences == []
+
+
+_ACCEPTED_MEMBERS = st.one_of(
+    st.builds(poll_system, st.integers(1, 3), st.booleans()),
+    st.builds(lin_pingpong),
+    st.builds(un_server, st.integers(1, 3)),
+    st.builds(delegation),
+    st.builds(closed_session),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(member=_ACCEPTED_MEMBERS, choices=st.lists(st.integers(0, 999), min_size=1, max_size=4))
+def test_verdicts_survive_chains_of_random_congruence_rewrites(member, choices):
+    # Each choice picks one rewrite of the current term, renamed apart as
+    # the CLI fuzz does; the verdict and the residue stay those of the start.
+    ctx, p = member
+    current = barendregt_rename(p, avoid=ctx.names())
+    baseline = type_check(ctx, current, trace=False)
+    assert baseline.accepted
+    for choice in choices:
+        steps = congruence_steps(barendregt_rename(current, avoid=ctx.names()))
+        current = steps[choice % len(steps)].result
+        result = type_check(ctx, current, trace=False)
+        assert result.accepted, (str(current), result.error)
+        assert context_equal(result.residual, baseline.residual), str(current)
 
 
 def test_congruence_rewrites_preserve_rejections():

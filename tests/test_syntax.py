@@ -114,6 +114,8 @@ def test_parse_errors_carry_line_and_column():
         # A keyword cannot name a binding: no process could use the name.
         (parse_context, "new : un end", 1, 1),
         (parse_context, "x : un end\n  void : lin !(un end).un end", 2, 3),
+        # A name bound twice: the error points at the second binding's name.
+        (parse_context, "  x : un end\n  x : un end", 2, 3),
     ],
 )
 def test_parse_error_positions_are_pinned(parse, text, line, column):
@@ -326,15 +328,18 @@ def _assert_at_reference_token(err, parse, text):
     reference token, the one it says it found if it names one."""
     line, message = err.line, err.message
     if parse is parse_context:
-        if message.startswith(("expected 'name : type' binding", "duplicate name")):
+        if message.startswith("expected 'name : type' binding"):
             assert err.column == 1, text
             return
         raw = text.split("\n")[line - 1]
-        if message.startswith("keyword "):
-            # A keyword as a binding name: the reference reads it there.
+        if message.startswith(("keyword ", "duplicate name ")):
+            # A keyword or a name bound twice: the reference reads the name there.
             kind, name, _, column = reference_tokenize(raw.split("#", 1)[0].partition(":")[0])[0]
-            assert (message, err.column) == (f"keyword {name!r} cannot name a binding", column), text
-            assert kind == name, text
+            if message.startswith("keyword "):
+                assert (message, kind) == (f"keyword {name!r} cannot name a binding", name), text
+            else:
+                assert message == f"duplicate name {name!r} in context", text
+            assert err.column == column, text
             return
         if not message.startswith("in binding for "):
             # A character that starts no token, before the binding's colon.
