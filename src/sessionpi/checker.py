@@ -18,6 +18,21 @@ Location strings are built only when an audit record keeps them; a trace
 step keeps its subject and renders it when read, and an error formats its
 texts when they are read.
 
+Binding is scoped.  A binder whose name is already in the context shadows
+that entry for the length of its scope, and the end of the scope puts the
+entry back (``_bind`` and ``_unbind``).  On a term renamed to the Barendregt
+convention no binder meets a name in its context, so scoped and plain
+binding coincide.  On a raw term a scope hides exactly what renaming would
+have kept apart under a fresh name: inside the scope every occurrence of the
+name is the binder, so no rule reads the hidden entry, and at the end of the
+scope the entry is back as the renamed run leaves it.  In ``x?(x).P`` the
+binder hides its own channel, so the binder's residue is read inside the
+scope and the channel's after it.  A term and its renaming therefore get the
+same verdict, error kind and residue, and the convention only eases the
+proofs (Urban, Berghofer & Norrish, "Barendregt's variable convention in
+rule inductions", CADE 2007).  ``type_check`` checks the raw term unless a
+trace or an audit must show the renamed one.
+
 Rule names carried in traces:
 
 * variables: A-V-L, A-V-U, A-V-LL-l/r, A-V-L-l/r, A-V-UU-l/r, A-V-U-l/r,
@@ -95,6 +110,11 @@ class CheckError(Exception):
     ``kind`` never formats a process or a type.
     """
 
+    # Set by ``type_check`` on an error raised checking a raw term: returns
+    # the error that checking the renamed term raises, whose texts this one
+    # takes on first read, or ``None`` when renaming keeps the term.
+    _renamed: Optional[Callable[[], Optional["CheckError"]]] = None
+
     def __init__(
         self, kind: ErrorKind, location: str | Callable[[], str], detail: str | Callable[[], str]
     ):
@@ -103,17 +123,24 @@ class CheckError(Exception):
         self._location = location
         self._detail = detail
 
+    def _text(self, name: str) -> str:
+        if self._renamed is not None:
+            source, self._renamed = self._renamed(), None
+            if source is not None:
+                self._location, self._detail = source._location, source._detail
+        text = getattr(self, name)
+        if not isinstance(text, str):
+            text = text()
+            setattr(self, name, text)
+        return text
+
     @property
     def location(self) -> str:
-        if not isinstance(self._location, str):
-            self._location = self._location()
-        return self._location
+        return self._text("_location")
 
     @property
     def detail(self) -> str:
-        if not isinstance(self._detail, str):
-            self._detail = self._detail()
-        return self._detail
+        return self._text("_detail")
 
     def __str__(self) -> str:
         return f"{self.kind.value} at {self.location}: {self.detail}"
@@ -158,9 +185,20 @@ class CheckResult:
     accepted: bool
     residual: Optional[Context]
     error: Optional[CheckError]
-    trace: list[TraceStep] = field(default_factory=list)
-    audits: Optional[list[AuditRecord]] = None
-    process: Optional[Process] = None  # the renamed process that was checked
+    trace: list[TraceStep]
+    audits: Optional[list[AuditRecord]]
+    # The context and the process checked; ``process`` renames the process
+    # when first read, unless the check was run on the renamed term.
+    _checked: tuple[Context, Process] = field(repr=False)
+    _renamed: Optional[Process] = field(default=None, repr=False, compare=False)
+
+    @property
+    def process(self) -> Process:
+        """The checked process under the Barendregt convention."""
+        if self._renamed is None:
+            g, p = self._checked
+            self._renamed = barendregt_rename(p, avoid=g.names())
+        return self._renamed
 
 
 def _loc(p: Process) -> str:
@@ -182,26 +220,27 @@ def _no_pattern(g: Context, p: Process) -> str:
     return f"no pattern for {type(p).__name__.lower()} on {p.chan} with entry {entry}"
 
 
-def _bind(g: Context, p: Process, binder: str, entry: Entry) -> Context:
-    """``g`` with ``binder : entry`` added; the binder may not shadow an entry."""
-    if binder in g:
+def _bind(g: Context, binder: str, entry: Entry) -> tuple[Context, Optional[Entry]]:
+    """``g`` with ``binder : entry`` in scope, and the entry it shadows or ``None``."""
+    shadowed = g.get(binder)
+    return (g.add(binder, entry) if shadowed is None else g.set(binder, entry)), shadowed
+
+
+def _unbind(g: Context, binder: str, shadowed: Optional[Entry]) -> Context:
+    """``g`` at the end of the scope of ``binder``: the entry it shadowed put
+    back, or the binder removed."""
+    return g.remove(binder) if shadowed is None else g.set(binder, shadowed)
+
+
+def _require_un(p: Process, name: str, residue: Entry, where: str):
+    """Reject ``p`` unless ``residue``, what is left of ``name``, is
+    unrestricted; ``where`` is "in the continuation" or "in its scope"."""
+    if not is_un_entry(residue):
         raise CheckError(
-            ErrorKind.PARTIAL_ALGEBRA, lambda: _loc(p), f"binder {binder} shadows a context entry"
+            ErrorKind.LINEAR_RESIDUAL,
+            lambda: _loc(p),
+            lambda: f"linear usage of {name} not finished {where} (residue {residue})",
         )
-    return g.add(binder, entry)
-
-
-def _require_un(g: Context, p: Process, names: tuple[str, ...], where: str):
-    """Reject ``p`` unless each of ``names`` is left unrestricted in ``g``;
-    ``where`` is "in the continuation" or "in its scope"."""
-    for name in names:
-        residue = g.get(name)
-        if not is_un_entry(residue):
-            raise CheckError(
-                ErrorKind.LINEAR_RESIDUAL,
-                lambda: _loc(p),
-                lambda: f"linear usage of {name} not finished {where} (residue {residue})",
-            )
 
 
 # The suffixes that rule names carry for the slots of an entry, by the
@@ -373,18 +412,23 @@ class _Checker:
         h = unfold(g.get(p.chan).item)
         g2 = self.check_var(g.set(p.chan, Single(VOID)), p.arg, h.pre.payload)
         g3 = self.check(update_entry(g2, p.chan, h.pre.cont), p.cont)
-        _require_un(g3, p, (p.chan,), "in the continuation")
+        _require_un(p, p.chan, g3.get(p.chan), "in the continuation")
         return g3.set(p.chan, Single(VOID))
 
     def _rule_in_lin(self, g: Context, p: Input) -> Context:
         # Receive on a linear endpoint: bind the payload, resume at the
-        # continuation type, demand unrestricted residues for both the channel
-        # and the binder, then drop the binder and void the channel slot.
+        # continuation type, close the binder's scope, demand unrestricted
+        # residues for both the channel and the binder, and void the channel
+        # slot.  The binder's residue is read inside its scope and the
+        # channel's outside, which is where ``x?(x).P`` keeps each.
         h = unfold(g.get(p.chan).item)
-        g1 = _bind(g.set(p.chan, Single(h.pre.cont)), p, p.binder, entry_of_type(h.pre.payload))
+        g1, shadowed = _bind(g.set(p.chan, Single(h.pre.cont)), p.binder, entry_of_type(h.pre.payload))
         g2 = self.check(g1, p.cont)
-        _require_un(g2, p, (p.chan, p.binder), "in the continuation")
-        return g2.remove(p.binder).set(p.chan, Single(VOID))
+        residue = g2.get(p.binder)
+        g3 = _unbind(g2, p.binder, shadowed)
+        _require_un(p, p.chan, g3.get(p.chan), "in the continuation")
+        _require_un(p, p.binder, residue, "in the continuation")
+        return g3.set(p.chan, Single(VOID))
 
     def _rule_pair_side(self, g: Context, p: Process, side: Item, consumed: Entry) -> Context:
         # Pair variants: run the linear endpoint rule on one side alone, then
@@ -402,9 +446,10 @@ class _Checker:
         return self.check(g2, p.cont)
 
     def _rule_in_un(self, g: Context, p: Input, head: Qualified) -> Context:
-        g2 = self.check(_bind(g, p, p.binder, entry_of_type(head.pre.payload)), p.cont)
-        _require_un(g2, p, (p.binder,), "in its scope")
-        return g2.remove(p.binder)
+        g1, shadowed = _bind(g, p.binder, entry_of_type(head.pre.payload))
+        g2 = self.check(g1, p.cont)
+        _require_un(p, p.binder, g2.get(p.binder), "in its scope")
+        return _unbind(g2, p.binder, shadowed)
 
     def _rule_res(self, g: Context, p: New) -> Context:
         if not is_safe_type(p.annot):
@@ -413,9 +458,10 @@ class _Checker:
                 lambda: _loc(p),
                 lambda: f"annotation {p.annot} is not safe",
             )
-        g2 = self.check(_bind(g, p, p.binder, entry_of_type(p.annot)), p.cont)
-        _require_un(g2, p, (p.binder,), "in its scope")
-        return g2.remove(p.binder)
+        g1, shadowed = _bind(g, p.binder, entry_of_type(p.annot))
+        g2 = self.check(g1, p.cont)
+        _require_un(p, p.binder, g2.get(p.binder), "in its scope")
+        return _unbind(g2, p.binder, shadowed)
 
     def _rule_inact(self, g: Context, p: Zero) -> Context:
         return g
@@ -444,43 +490,59 @@ def type_check(
 ) -> CheckResult:
     """Check ``p`` against ``g``; accept when the residue is unrestricted.
 
-    The process is first alpha-renamed to the Barendregt convention (binders
-    distinct from each other, from free variables, and from context names);
-    traces show the renamed term, which the result keeps as ``process``.
-    Rejects without checking on an unsafe context.
+    The result's ``process`` is ``p`` alpha-renamed to the Barendregt
+    convention (binders distinct from each other, from free names and from
+    context names); the term is renamed when it is read.  Binding is
+    scoped, so with the trace and the audit off ``p`` itself is checked,
+    and a rejection's texts, read on demand, come from a check of the
+    renamed term when renaming changes ``p``.  With either on, ``p`` is
+    renamed first, since trace subjects and audit sites show the renamed
+    term.  Rejects without checking on an unsafe context.
     """
-    q = barendregt_rename(p, avoid=g.names())
+    q = barendregt_rename(p, avoid=g.names()) if trace or audit else None
     if not is_safe_context(g):
         offending = [name for name, e in g.items() if not is_safe_entry(e)]
-        return CheckResult(
-            accepted=False,
-            residual=None,
-            error=CheckError(
-                ErrorKind.UNSAFE_ANNOTATION,
-                "initial context",
-                f"context is not safe at {', '.join(offending)}",
-            ),
-            process=q,
+        err = CheckError(
+            ErrorKind.UNSAFE_ANNOTATION,
+            "initial context",
+            f"context is not safe at {', '.join(offending)}",
         )
+        return CheckResult(False, None, err, [], None, (g, p), q)
     run = _Checker(trace=trace, audit=audit, runtime_audits=runtime_audits)
+    out, err = _outcome(run, g, p if q is None else q)
+    if err is not None and q is None:
+        err._renamed = lambda: _renamed_error(g, p)
+    return CheckResult(err is None, out, err, _completed(run), run.audits, (g, p), q)
+
+
+def _outcome(run: _Checker, g: Context, p: Process) -> tuple[Optional[Context], Optional[CheckError]]:
+    """The unrestricted residue of ``run`` checking ``p`` against ``g``, or
+    the error that rejects ``p``."""
     try:
-        out = run.check(g, q)
+        out = run.check(g, p)
     except CheckError as err:
         # Its traceback would reach, through the caller's frame, the result
         # that keeps the error: a cycle only the garbage collector frees.
-        return CheckResult(False, None, err.with_traceback(None), _completed(run), run.audits, q)
+        return None, err.with_traceback(None)
     except ContextAlgebraError as err:
-        wrapped = CheckError(ErrorKind.PARTIAL_ALGEBRA, lambda: str(q), str(err))
-        return CheckResult(False, None, wrapped, _completed(run), run.audits, q)
+        return None, CheckError(ErrorKind.PARTIAL_ALGEBRA, lambda: str(p), str(err))
     if not is_un_context(out):
         offending = [name for name, e in out.items() if not is_un_entry(e)]
-        err = CheckError(
+        return None, CheckError(
             ErrorKind.NON_UNRESTRICTED_RESULT,
             ", ".join(offending),
             f"linear entries survive at top level: {', '.join(offending)}",
         )
-        return CheckResult(False, None, err, _completed(run), run.audits, q)
-    return CheckResult(True, out, None, _completed(run), run.audits, q)
+    return out, None
+
+
+def _renamed_error(g: Context, p: Process) -> Optional[CheckError]:
+    """The error that checking ``p`` renamed raises, or ``None`` when
+    renaming keeps ``p``.  Scoped binding makes it of the same kind, and
+    raised at the same subterm, as the error of checking ``p`` itself (see
+    the module docstring)."""
+    q = barendregt_rename(p, avoid=g.names())
+    return None if q is p else _outcome(_Checker(trace=False), g, q)[1]
 
 
 def _completed(run: _Checker) -> list[TraceStep]:

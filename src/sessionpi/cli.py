@@ -235,7 +235,8 @@ def _print_human(report: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sessionpi", description=__doc__)
+    # The docstring without its reST markup.
+    parser = argparse.ArgumentParser(prog="sessionpi", description=__doc__.replace("``", ""))
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="type check a process against a context")

@@ -143,32 +143,26 @@ def _exhaustive_procs(size, names, depth=0):
                     yield Par(left, right)
 
 
-def test_criterion_04_soundness_differential():
-    budget = 600.0
-    start = time.perf_counter()
+def criterion_04_contexts():
     contexts = [Context([("x", entry_of_type(t))]) for t in U6]
     for a, b in [(3, 0), (4, 0), (1, 2), (4, 5), (5, 0)]:
         contexts.append(
             Context([("x", entry_of_type(U6[a])), ("y", entry_of_type(U6[b]))])
         )
-    procs = list(_exhaustive_procs(5, ("x", "y")))
-    checked = accepted_count = 0
-    failures = []
+    return contexts
+
+
+def _criterion_04_exhaustive(contexts, procs):
+    """Every process of ``procs`` under each context, with its declared context."""
     for ctx in contexts:
         decl = to_decl_context(ctx)
         for p in procs:
-            checked += 1
-            result = type_check(ctx, p, trace=False, runtime_audits=True)
-            if not result.accepted:
-                continue
-            accepted_count += 1
-            oracle = derivable(decl, result.process)
-            if oracle.verdict is not Verdict.DERIVABLE:
-                failures.append((str(ctx), str(p), oracle.verdict.value))
+            yield ctx, decl, p
 
-    # At least 500 random larger instances on top of the exhaustive sweep.
+
+def _criterion_04_random():
+    """At least 500 random larger instances on top of the exhaustive sweep."""
     rng = random.Random(1004)
-    random_accepted = 0
     for k in range(520):
         if k % 2 == 0:
             pool = [U6[0], U6[1], U6[2], U6[3], U6[4], U6[5]]
@@ -184,6 +178,34 @@ def test_criterion_04_soundness_differential():
             steps = congruence_steps(barendregt_rename(p, avoid=ctx.names()))
             if steps:
                 p = steps[k % len(steps)].result
+        yield ctx, decl, p
+
+
+def criterion_04_pairs():
+    """The (context, declared context, process) pairs of criterion 4."""
+    yield from _criterion_04_exhaustive(criterion_04_contexts(), list(_exhaustive_procs(5, ("x", "y"))))
+    yield from _criterion_04_random()
+
+
+def test_criterion_04_soundness_differential():
+    budget = 600.0
+    start = time.perf_counter()
+    contexts = criterion_04_contexts()
+    procs = list(_exhaustive_procs(5, ("x", "y")))
+    checked = accepted_count = 0
+    failures = []
+    for ctx, decl, p in _criterion_04_exhaustive(contexts, procs):
+        checked += 1
+        result = type_check(ctx, p, trace=False, runtime_audits=True)
+        if not result.accepted:
+            continue
+        accepted_count += 1
+        oracle = derivable(decl, result.process)
+        if oracle.verdict is not Verdict.DERIVABLE:
+            failures.append((str(ctx), str(p), oracle.verdict.value))
+
+    random_accepted = 0
+    for ctx, decl, p in _criterion_04_random():
         result = type_check(ctx, p, trace=False, runtime_audits=True)
         checked += 1
         if not result.accepted:

@@ -35,7 +35,9 @@ from sessionpi.gen import (
     poll_system,
     un_server,
 )
+from sessionpi.syntax import Input, New, Output, Par, Repl, Zero
 from tests.conftest import fixture_names, load_fixture
+from tests.test_acceptance import U6, criterion_04_contexts, criterion_04_pairs
 from tests.helpers import accepted_family, deep_inputs, reference_var_matches
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
@@ -180,7 +182,7 @@ def test_unsafe_initial_context_rejected_immediately():
     assert not result.accepted
     assert result.error.kind is ErrorKind.UNSAFE_ANNOTATION
     assert result.trace == []
-    # The process is renamed before the safety check, so the result keeps it.
+    # Nothing is checked, but the result still gives the renamed process.
     assert result.process == parse_process("0")
 
 
@@ -358,6 +360,168 @@ def test_accepting_run_builds_no_location_strings(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Scoped binding
+# ---------------------------------------------------------------------------
+
+def _outputs(result) -> tuple:
+    """Everything a caller reads of a result but its trace and audits."""
+    err = result.error
+    texts = (err.kind, err.location, err.detail) if err is not None else None
+    return result.accepted, texts, result.residual, result.process
+
+
+def _agrees_with_renaming(g, p) -> tuple:
+    """The outputs of checking ``p`` itself, asserted equal to those of
+    checking it renamed first, as a traced check does."""
+    raw = type_check(g, p, trace=False, runtime_audits=True)
+    assert _outputs(raw) == _outputs(type_check(g, p)), (str(g), str(p))
+    return _outputs(raw)
+
+
+def test_scoped_binding_agrees_with_renaming_on_criterion_04():
+    renamed = [
+        (ctx, p) for ctx, _, p in criterion_04_pairs() if barendregt_rename(p, avoid=ctx.names()) is not p
+    ]
+    # 704 of the exhaustive sweep's 800,690 pairs, 22 of its 520 random ones.
+    print(f"{len(renamed)} criterion-4 pairs need renaming")
+    assert len(renamed) == 726
+    accepted = sum(_agrees_with_renaming(ctx, p)[0] for ctx, p in renamed)
+    assert 0 < accepted < len(renamed)
+
+
+def _shadowing_procs(size, names):
+    """Every process of at most ``size`` nodes over ``names`` whose binders
+    are x, y or u, so that they shadow the context's names and each other."""
+    if size >= 1:
+        yield Zero()
+    if size >= 2:
+        for cont in _shadowing_procs(size - 1, names):
+            yield Repl(cont)
+        for chan in names:
+            for arg in names:
+                for cont in _shadowing_procs(size - 1, names):
+                    yield Output(chan, arg, cont)
+        for binder in ("x", "y", "u"):
+            inner = names if binder in names else names + (binder,)
+            for cont in _shadowing_procs(size - 1, inner):
+                for chan in names:
+                    yield Input(chan, binder, cont)
+                for annot in U6:
+                    yield New(binder, annot, cont)
+    if size >= 3:
+        for k in range(1, size - 1):
+            for left in _shadowing_procs(k, names):
+                for right in _shadowing_procs(size - 1 - k, names):
+                    yield Par(left, right)
+
+
+def test_scoped_binding_agrees_with_renaming_on_shadowing_terms():
+    # No criterion-4 pair has a binder that shadows a name in scope.
+    procs = list(_shadowing_procs(3, ("x", "y")))
+    checked = accepted = 0
+    for ctx in criterion_04_contexts():
+        for p in procs:
+            if barendregt_rename(p, avoid=ctx.names()) is not p:
+                checked += 1
+                accepted += _agrees_with_renaming(ctx, p)[0]
+    assert checked == 7528 and 0 < accepted < checked
+
+
+SHADOWING = {
+    # x?(x).P: the binder hides its own channel.
+    "binder hides a lin channel": (
+        "x : lin ?(lin ?(un end).un end).un end", "x?(x).x?(z).0", "x : ◦"),
+    "hidden binder left linear": (
+        "x : lin ?(lin ?(un end).un end).un end", "x?(x).0", ErrorKind.LINEAR_RESIDUAL),
+    "hidden channel left linear": (
+        "x : lin ?(un end).lin !(un end).un end", "x?(x).0", ErrorKind.LINEAR_RESIDUAL),
+    "binder hides a pair": (
+        "x : <lin ?(un end).un end, lin !(un end).un end>\nv : un end",
+        "x?(x).0 | x!v.0",
+        "x : <◦, ◦>\nv : un end",
+    ),
+    "binder hides an un channel": (
+        "x : rec a. un ?(lin !(un end).un end).a\ne : un end",
+        "x?(x).x!e.0",
+        "x : rec a. un ?(lin !(un end).un end).a\ne : un end",
+    ),
+    # A restriction hides a context name, which is used again after it.
+    "new hides a context name": (
+        "v : lin !(un end).un end\ne : un end",
+        "(new v: <lin ?(un end).un end, lin !(un end).un end>. (v?(z).0 | v!e.0)) | v!e.0",
+        "v : ◦\ne : un end",
+    ),
+    "hidden name misused in scope": (
+        "v : lin !(un end).un end\ne : un end",
+        "new v: <lin ?(un end).un end, lin !(un end).un end>. v!e.v!e.0",
+        ErrorKind.NO_PATTERN,
+    ),
+    # The same binder nested twice.
+    "binder nested twice": (
+        "x : lin ?(lin !(un end).un end).lin ?(lin !(un end).un end).un end\ne : un end",
+        "x?(y).y!e.x?(y).y!e.0",
+        "x : ◦\ne : un end",
+    ),
+    "outer of a nested binder left linear": (
+        "x : lin ?(lin !(un end).un end).lin ?(lin !(un end).un end).un end\ne : un end",
+        "x?(y).x?(y).y!e.0",
+        ErrorKind.LINEAR_RESIDUAL,
+    ),
+    "new x under x?(y)": (
+        "x : lin ?(un end).un end",
+        "x?(y).new x: <lin ?(un end).un end, lin !(un end).un end>. (x!y.0 | x?(z).0)",
+        "x : ◦",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWING))
+def test_shadowing_binder_is_checked_as_its_renaming(name):
+    ctx_text, proc_text, want = SHADOWING[name]
+    g, p = parse_context(ctx_text), parse_process(proc_text)
+    assert barendregt_rename(p, avoid=g.names()) is not p
+    accepted, texts, residual, _ = _agrees_with_renaming(g, p)
+    if isinstance(want, ErrorKind):
+        assert not accepted and texts[0] is want
+        with pytest.raises(CheckError) as raised:
+            check(g, p)
+        assert raised.value.kind is want
+    else:
+        assert accepted and residual == parse_context(want)
+        # The bare kernel never renamed its input: the scope alone gives
+        # the residue that type_check gets.
+        assert check(g, p) == residual
+
+
+def test_trace_off_check_renames_only_when_the_term_is_read(monkeypatch):
+    import sessionpi.checker
+
+    calls = []
+
+    def counted(p, avoid=frozenset()):
+        calls.append(p)
+        return barendregt_rename(p, avoid=avoid)
+
+    monkeypatch.setattr(sessionpi.checker, "barendregt_rename", counted)
+    pair = parse_context("x : <lin ?(un end).un end, lin !(un end).un end>\nv : un end")
+    lin = parse_context("x : lin ?(lin ?(un end).un end).un end")
+    accepted = type_check(pair, parse_process("x?(x).0 | x!v.0"), trace=False)
+    rejected = type_check(lin, parse_process("x?(x).0"), trace=False)
+    assert accepted.accepted and accepted.residual == parse_context("x : <◦, ◦>\nv : un end")
+    assert not rejected.accepted and rejected.error.kind is ErrorKind.LINEAR_RESIDUAL
+    assert rejected.residual is None
+    assert calls == []
+    # One renaming for the process, however often it is read, and one for
+    # both texts of an error.
+    assert str(accepted.process) == "x?(x1).0 | x!v.0"
+    assert str(accepted.process) == "x?(x1).0 | x!v.0"
+    assert len(calls) == 1
+    assert rejected.error.location == "x?(x1).0 (line 1, col 1)"
+    assert "of x1 not finished" in rejected.error.detail
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # Traced checking of deep inputs
 # ---------------------------------------------------------------------------
 
@@ -395,16 +559,19 @@ def test_rejected_result_is_freed_without_the_garbage_collector():
     # The error a result keeps holds no traceback.  A traceback reaches the
     # frame of its caller, which holds the result, which holds the error:
     # a reference cycle that only the garbage collector frees.
+    # With the trace off the error's texts also keep the renaming they are
+    # read from, which holds no result either.
     g, p, _ = load_fixture("lin_then_un_misuse")
 
-    def rejected_error():
-        result = type_check(g, p)
-        assert not result.accepted
+    def rejected_error(trace):
+        result = type_check(g, p, trace=trace)
+        assert not result.accepted and result.error.location
         return weakref.ref(result.error)
 
     gc.collect()
     gc.disable()
     try:
-        assert rejected_error()() is None
+        assert rejected_error(True)() is None
+        assert rejected_error(False)() is None
     finally:
         gc.enable()

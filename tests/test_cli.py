@@ -44,11 +44,12 @@ def test_help_names_every_exit_code(capsys):
         "2 usage, parse or input error",
         "a missing or unreadable file",
         "a file that is not UTF-8",
-        "a context error such as a void entry given to ``oracle``",
+        "a context error such as a void entry given to oracle",
         "input too deep to process",
         "3 inconclusive oracle verdict",
     ):
         assert phrase in text
+    assert "``" not in text
 
 
 def test_void_entry_given_to_oracle_is_a_context_error(capsys, tmp_path):
