@@ -112,7 +112,7 @@ def cmd_reduce(args) -> tuple[dict, int]:
     started = time.perf_counter()
     process = parse_process(_read(args.process_file))
     steps = [{"step": 0, "rule": "-", "term": pretty(process)}]
-    labeled = reduce_trace_labeled(process, args.steps, radius=args.radius)
+    labeled = reduce_trace_labeled(process, args.steps)
     for number, (chan, reduct) in enumerate(labeled, start=1):
         steps.append({"step": number, "rule": f"R-Com on {chan}", "term": pretty(reduct)})
     return _report("reduce", started, steps=steps), 0
@@ -255,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     reduce = sub.add_parser("reduce", help="print a reduction trace")
     reduce.add_argument("process_file")
     reduce.add_argument("--steps", type=int, default=10)
-    reduce.add_argument("--radius", type=int, default=3,
-                        help="structural rewrites allowed before each communication")
     reduce.add_argument("--json", action="store_true")
 
     cong = sub.add_parser("congruence", help="fuzz with random one-step rewrites")

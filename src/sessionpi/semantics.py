@@ -9,10 +9,10 @@ makes it non-terminating); property suites only ever need single steps.
 
 Reduction enumerates communication redexes: an output and an input on the
 same channel sitting in the same parallel soup (the flattening of nested
-compositions, which absorbs commutativity and associativity).  Redexes
-hidden behind replication or an inner restriction are exposed by a bounded
-search over the rewrites that can reveal them: replication unfolding and
-extruding a restriction out of its soup.
+compositions, which absorbs commutativity and associativity).  The rewrites
+that expose a redex hidden behind replication or an inner restriction are
+read off the term, as in the standard form ``new x. (G1 | ... | Gn)``
+(Milner, CUP 1999; Engelfriet & Gelsema, TCS 211, 1999), so none is missed.
 
 Each redex records the restriction that binds its channel in scope (the
 innermost one), or none when the channel is free.  When a communication
@@ -23,7 +23,7 @@ that moves, so retyping a reduct needs no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .contexts import is_un_type
@@ -76,20 +76,8 @@ def get_at(p: Process, path: Path) -> Process:
 def replace_at(p: Process, path: Path, new: Process) -> Process:
     if not path:
         return new
-    head, rest = path[0], path[1:]
-    child = replace_at(getattr(p, head), rest, new)
-    match p:
-        case Par(left, right):
-            return Par(child, right, pos=p.pos) if head == "left" else Par(left, child, pos=p.pos)
-        case Repl(_):
-            return Repl(child, pos=p.pos)
-        case Output(chan, arg, _):
-            return Output(chan, arg, child, pos=p.pos)
-        case Input(chan, binder, _):
-            return Input(chan, binder, child, pos=p.pos)
-        case New(binder, annot, _):
-            return New(binder, annot, child, pos=p.pos)
-    raise TypeError(f"no child {head} in {p!r}")
+    head = path[0]
+    return replace(p, **{head: replace_at(getattr(p, head), path[1:], new)})
 
 
 def _positions(p: Process, prefix: Path = ()) -> Iterator[tuple[Path, Process]]:
@@ -181,8 +169,6 @@ def _coms(
             for path, comp in components:
                 if isinstance(comp, New):
                     yield from _coms(comp, path, binders)
-        case _:
-            return
 
 
 def advance_type(t: Type) -> Type:
@@ -206,100 +192,116 @@ def _fire(p: Process, com: _Com) -> Process:
     result = replace_at(result, com.in_path, substitute(inp.cont, out.arg, inp.binder))
     if com.binder_path is not None:
         node = get_at(result, com.binder_path)
-        result = replace_at(
-            result, com.binder_path, New(node.binder, advance_type(node.annot), node.cont)
-        )
+        result = replace_at(result, com.binder_path, replace(node, annot=advance_type(node.annot)))
     return result
 
 
-def _active_positions(p: Process, prefix: Path = ()) -> Iterator[tuple[Path, Process]]:
-    """Positions reachable without passing a prefix or a replication: the
-    only places where redex-exposing rewrites can matter."""
-    yield prefix, p
-    if isinstance(p, Par):
-        yield from _active_positions(p.left, prefix + ("left",))
-        yield from _active_positions(p.right, prefix + ("right",))
-    elif isinstance(p, New):
-        yield from _active_positions(p.cont, prefix + ("cont",))
+# ``(_UNFOLD, path)`` unfolds the replication at ``path``; ``(_EXTRUDE, soup,
+# path)`` extrudes the restriction there out of the soup at ``soup``.  Sorted,
+# single rewrites come as a breadth-first search meets them.
+_UNFOLD, _EXTRUDE = 0, 1
 
 
-def _expose_steps(p: Process) -> Iterator[Process]:
-    """Rewrites that can reveal new redexes: unfolding an active replication,
-    and extruding a restriction out of its parallel soup."""
-    for path, q in _active_positions(p):
-        if isinstance(q, Repl):
-            yield replace_at(p, path, Par(q.body, Repl(q.body)))
-    for path, q in _active_positions(p):
-        # Only maximal parallel regions count as soups.
-        if not isinstance(q, Par) or (path and isinstance(get_at(p, path[:-1]), Par)):
-            continue
-        components = _soup(q, path)
-        for comp_path, comp in components:
-            if not isinstance(comp, New):
-                continue
-            others = [c for cp, c in components if cp != comp_path]
-            if any(comp.binder in free_vars(o) for o in others):
-                continue
-            region = replace_at(p, comp_path, comp.cont)
-            region_soup = get_at(region, path)
-            yield replace_at(p, path, New(comp.binder, comp.annot, region_soup))
+def _needs(p: Process) -> list[frozenset[tuple]]:
+    """The distinct sets of rewrites that bring an output and an input on one
+    channel into one soup, fewest first.  A prefix's chain holds the rewrites
+    of the replications and restrictions above it; a pair needs the
+    restrictions above one prefix only and the replications above either,
+    one above both being unfolded once for the pair to meet in the copy."""
+    prefixes = []
+
+    def walk(q: Process, path: Path, soup: Path, chain: frozenset[tuple]) -> None:
+        match q:
+            case Output() | Input():
+                prefixes.append((q, chain))
+            case Par(left, right):
+                walk(left, path + ("left",), soup, chain)
+                walk(right, path + ("right",), soup, chain)
+            case Repl(body):
+                walk(body, path + ("body",), path + ("body",), chain | {(_UNFOLD, path)})
+            case New(_, _, body):
+                walk(body, path + ("cont",), path + ("cont",), chain | {(_EXTRUDE, soup, path)})
+
+    walk(p, (), (), frozenset())
+    needs = {
+        (a ^ b) | {r for r in a & b if r[0] == _UNFOLD}
+        for out, a in prefixes
+        for inp, b in prefixes
+        if isinstance(out, Output) and isinstance(inp, Input) and inp.chan == out.chan
+    }
+    return sorted(needs, key=lambda need: (len(need), sorted(need)))
 
 
-def reduce_step(p: Process, radius: int = 3) -> list[Process]:
-    """All single-step reducts of ``p``.
+def _expose(p: Process, need: frozenset[tuple]) -> Process:
+    """``p`` with the rewrites of ``need`` applied in one rebuild.
 
-    Communication pairs are matched inside parallel soups, which absorbs
-    commutativity and associativity; ``radius`` bounds how many
-    redex-exposing rewrites may be applied first.
+    A needed ``!Q`` becomes ``Q' | !Q``, ``Q'`` being ``Q`` with its own
+    needed rewrites.  A needed restriction leaves its place to its body, and
+    is stacked, outermost first, right below the nearest restriction kept
+    above it; the term is renamed apart, so it captures no name there.
     """
-    return [reduct for _, reduct in reduce_step_labeled(p, radius)]
+    paths = {rewrite[-1] for rewrite in need}  # the node there is a ``!`` or a ``new``
+
+    def build(q: Process, path: Path, lifted: list[New]) -> Process:
+        match q:
+            case Par(left, right):
+                new_left = build(left, path + ("left",), lifted)
+                return Par(new_left, build(right, path + ("right",), lifted), pos=q.pos)
+            case Repl(body) if path in paths:
+                return Par(build(body, path + ("body",), lifted), q)
+            case New(_, _, body) if path in paths:
+                lifted.append(q)
+                return build(body, path + ("cont",), lifted)
+            case New(binder, annot, body):
+                return New(binder, annot, soup(body, path + ("cont",)), pos=q.pos)
+        return q
+
+    def soup(q: Process, path: Path) -> Process:
+        """``q`` rebuilt, under the restrictions lifted out of it."""
+        lifted: list[New] = []
+        q = build(q, path, lifted)
+        for r in reversed(lifted):
+            q = New(r.binder, r.annot, q, pos=r.pos)
+        return q
+
+    return soup(p, ())
 
 
-def reduce_step_labeled(p: Process, radius: int = 3) -> list[tuple[str, Process]]:
+def reduce_step(p: Process) -> list[Process]:
+    """All single-step reducts of ``p``."""
+    return [reduct for _, reduct in reduce_step_labeled(p)]
+
+
+def reduce_step_labeled(p: Process) -> list[tuple[str, Process]]:
     """Reducts labeled with the channel the communication fired on.
 
-    A communication is identified by its channel and the two prefix subjects;
-    only its first occurrence over the exposure search fires, so extra
-    replication unfoldings do not multiply equivalent reducts.
+    They are those of ``p`` renamed apart (``p`` itself if it is already).
+    Each distinct need is applied once, fewest rewrites first, and a
+    communication (its channel and two prefix subjects) fires only once.
     """
-    results: list[tuple[str, Process]] = []
-    seen_results = set()
-    seen_coms = set()
-    frontier = [p]
-    visited = {p}
-    for _ in range(radius + 1):
-        for variant in frontier:
-            for com in _coms(variant):
-                key = (com.chan, get_at(variant, com.out_path), get_at(variant, com.in_path))
-                if key in seen_coms:
-                    continue
-                seen_coms.add(key)
-                reduct = _fire(variant, com)
-                if reduct not in seen_results:
-                    seen_results.add(reduct)
-                    results.append((com.chan, reduct))
-        next_frontier = []
-        for variant in frontier:
-            for exposed in _expose_steps(variant):
-                if exposed not in visited:
-                    visited.add(exposed)
-                    next_frontier.append(exposed)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return results
+    p = barendregt_rename(p)
+    fired = set()
+    results: dict[Process, str] = {}
+    for need in _needs(p):
+        variant = _expose(p, need)
+        for com in _coms(variant):
+            key = (com.chan, get_at(variant, com.out_path), get_at(variant, com.in_path))
+            if key not in fired:
+                fired.add(key)
+                results.setdefault(_fire(variant, com), com.chan)
+    return [(chan, reduct) for reduct, chan in results.items()]
 
 
-def reduce_trace_labeled(p: Process, max_steps: int, radius: int = 3) -> list[tuple[str, Process]]:
+def reduce_trace_labeled(p: Process, max_steps: int) -> list[tuple[str, Process]]:
     """A reduction prefix from ``p``, one (channel, reduct) per step.
 
-    Each step renames the current term apart and takes the first of its
-    reducts that is least by ``str``: a deterministic policy.
+    Each step takes the first of the current term's reducts that is least
+    by ``str``: a deterministic policy.
     """
     steps = []
     current = p
     for _ in range(max_steps):
-        labeled = reduce_step_labeled(barendregt_rename(current), radius)
+        labeled = reduce_step_labeled(current)
         if not labeled:
             break
         chan, current = min(labeled, key=lambda step: str(step[1]))

@@ -6,7 +6,7 @@ import collections
 import re
 from typing import Iterator, Optional
 
-from sessionpi import ChanType, Input, New, Output, Par, ParseError, Repl, Type, Zero, declarative, syntax, type_check
+from sessionpi import ChanType, Input, New, Output, Par, ParseError, Repl, Type, Zero, declarative, parse_type, syntax, type_check
 from sessionpi.contexts import (
     VOID,
     Context,
@@ -32,7 +32,16 @@ from sessionpi.gen import (
     poll_system,
     un_server,
 )
-from sessionpi.semantics import RewriteStep, _local_steps, advance_type, get_at, replace_at
+from sessionpi.semantics import (
+    RewriteStep,
+    _coms,
+    _fire,
+    _local_steps,
+    _soup,
+    advance_type,
+    get_at,
+    replace_at,
+)
 from sessionpi.syntax import CaptureError, End, Process, Qual, Qualified, Rec, Recv, Send, TypeVar, free_vars
 
 # ---------------------------------------------------------------------------
@@ -104,6 +113,107 @@ def invert(step: RewriteStep, source: Process) -> Optional[Process]:
         if rule == step.rule and direction == want and candidate == source:
             return candidate
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reduction by a radius-bounded search: the reference for exact reduction
+# ---------------------------------------------------------------------------
+
+def _active_positions(p: Process, prefix=()) -> Iterator[tuple[tuple, Process]]:
+    """Positions reachable without passing a prefix or a replication: the
+    only places where redex-exposing rewrites can matter."""
+    yield prefix, p
+    if isinstance(p, Par):
+        yield from _active_positions(p.left, prefix + ("left",))
+        yield from _active_positions(p.right, prefix + ("right",))
+    elif isinstance(p, New):
+        yield from _active_positions(p.cont, prefix + ("cont",))
+
+
+def _expose_steps(p: Process) -> Iterator[Process]:
+    """Rewrites that can reveal new redexes: unfolding an active replication,
+    and extruding a restriction out of its parallel soup."""
+    for path, q in _active_positions(p):
+        if isinstance(q, Repl):
+            yield replace_at(p, path, Par(q.body, Repl(q.body)))
+    for path, q in _active_positions(p):
+        # Only maximal parallel regions count as soups.
+        if not isinstance(q, Par) or (path and isinstance(get_at(p, path[:-1]), Par)):
+            continue
+        components = _soup(q, path)
+        for comp_path, comp in components:
+            if not isinstance(comp, New):
+                continue
+            others = [c for cp, c in components if cp != comp_path]
+            if any(comp.binder in free_vars(o) for o in others):
+                continue
+            region = replace_at(p, comp_path, comp.cont)
+            region_soup = get_at(region, path)
+            yield replace_at(p, path, New(comp.binder, comp.annot, region_soup))
+
+
+def reference_reduce_step_labeled(p: Process, radius: int = 3) -> list[tuple[str, Process]]:
+    """Reducts labeled with the channel the communication fired on, found by
+    a breadth-first search over at most ``radius`` redex-exposing rewrites.
+
+    A communication is identified by its channel and the two prefix subjects;
+    only its first occurrence over the exposure search fires, so extra
+    replication unfoldings do not multiply equivalent reducts.
+    """
+    results: list[tuple[str, Process]] = []
+    seen_results = set()
+    seen_coms = set()
+    frontier = [p]
+    visited = {p}
+    for _ in range(radius + 1):
+        for variant in frontier:
+            for com in _coms(variant):
+                key = (com.chan, get_at(variant, com.out_path), get_at(variant, com.in_path))
+                if key in seen_coms:
+                    continue
+                seen_coms.add(key)
+                reduct = _fire(variant, com)
+                if reduct not in seen_results:
+                    seen_results.add(reduct)
+                    results.append((com.chan, reduct))
+        next_frontier = []
+        for variant in frontier:
+            for exposed in _expose_steps(variant):
+                if exposed not in visited:
+                    visited.add(exposed)
+                    next_frontier.append(exposed)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return results
+
+
+_SOUP_CHANNELS = ("x", "y")
+_SOUP_ANNOTS = (parse_type("un end"), parse_type("<lin !(un end).un end, lin ?(un end).un end>"))
+
+
+def gen_soup_process(rng, size: int) -> Process:
+    """A random process of about ``size`` nodes built from ``|``, ``!``,
+    ``new`` and prefixes on two channels, the restrictions binding those
+    channels: the shapes whose redexes need rewrites to meet.  About a
+    third of them have a redex; ``gen_process`` rarely makes one."""
+    if size <= 1:
+        chan = rng.choice(_SOUP_CHANNELS)
+        return rng.choice([Output(chan, "v", Zero()), Input(chan, "z", Zero())])
+    kind = rng.choice(["par"] * 4 + ["repl", "new", "out", "in"])
+    if kind == "par":
+        split = rng.randint(1, max(1, size - 2))
+        return Par(gen_soup_process(rng, split), gen_soup_process(rng, size - 1 - split))
+    if kind == "repl":
+        return Repl(gen_soup_process(rng, size - 1))
+    if kind == "new":
+        binder = rng.choice(_SOUP_CHANNELS)
+        return New(binder, rng.choice(_SOUP_ANNOTS), gen_soup_process(rng, size - 1))
+    cont = gen_soup_process(rng, size - 1) if rng.random() < 0.3 else Zero()
+    chan = rng.choice(_SOUP_CHANNELS)
+    if kind == "out":
+        return Output(chan, rng.choice(("v",) + _SOUP_CHANNELS), cont)
+    return Input(chan, "z", cont)
 
 
 # ---------------------------------------------------------------------------

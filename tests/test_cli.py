@@ -271,6 +271,17 @@ def test_reduce_inert_process(tmp_path, capsys):
     assert len([line for line in out.splitlines() if line.strip()]) == 1
 
 
+def test_reduce_unfolds_deep_replication_and_has_no_radius(tmp_path, capsys):
+    proc = tmp_path / "p.pi"
+    proc.write_text("!!!!x!v.0 | x?(y).0\n")
+    code, out, _ = run_cli(capsys, "reduce", str(proc), "--steps", "1", "--json")
+    assert code == 0
+    assert [step["rule"] for step in json.loads(out)["steps"]] == ["-", "R-Com on x"]
+    with pytest.raises(SystemExit) as done:
+        main(["reduce", str(proc), "--radius", "3"])
+    assert done.value.code == 2
+
+
 def test_reduce_poll_protocol(capsys):
     root = FIXTURES / "poll"
     code, out, _ = run_cli(
