@@ -8,7 +8,6 @@ from .checker import (
     CheckResult,
     ErrorKind,
     TraceStep,
-    audit_pattern_matches,
     check,
     check_var,
     type_check,

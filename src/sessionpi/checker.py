@@ -559,18 +559,3 @@ def check(g: Context, p: Process) -> Context:
 def check_var(g: Context, x: str, t: Type) -> Context:
     """Bare variable rule application: residual context or CheckError."""
     return _Checker(trace=False).check_var(g, x, t)
-
-
-def audit_pattern_matches(g: Context, p: Process) -> list[AuditRecord]:
-    """Match counts for every recursive call reached while checking (g, p).
-
-    Counts the patterns whose guards hold, evaluated independently of which
-    one runs; the run itself proceeds normally and may reject.  On a safe
-    context every record's count is at most one.
-    """
-    run = _Checker(trace=False, audit=True)
-    try:
-        run.check(g, barendregt_rename(p, avoid=g.names()))
-    except (CheckError, ContextAlgebraError):
-        pass
-    return run.audits or []

@@ -34,7 +34,6 @@ from .contexts import (
 from .declarative import Verdict, derivable
 from .parser import ParseError, parse_context, parse_process
 from .semantics import congruence_steps, reduce_trace_labeled
-from .syntax import barendregt_rename
 from .table import evaluate_table, expected_rows
 
 
@@ -92,7 +91,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
     ctx, process = _load_problem(args)
     decl = to_decl_context(ctx)  # rejects void entries
     result = type_check(ctx, process, trace=False)
-    oracle = derivable(decl, result.process, bound=args.bound)
+    oracle = derivable(decl, process, bound=args.bound)
     report = _report("oracle", started, accepted=result.accepted)
     if result.error is not None:
         report["error"] = _error_dict(result.error)
@@ -128,7 +127,7 @@ def cmd_congruence(args) -> tuple[dict, int]:
     runs = 0
     divergence = None
     for iteration in range(args.iterations):
-        steps = congruence_steps(barendregt_rename(current, avoid=ctx.names()))
+        steps = congruence_steps(current)
         if len(str(current)) > size_cap:
             trimmed = [
                 s for s in steps if not (s.rule == "par-unit" and s.direction == "RL")
@@ -140,15 +139,9 @@ def cmd_congruence(args) -> tuple[dict, int]:
         step = rng.choice(steps)
         rewritten = step.result
         result = type_check(ctx, rewritten, trace=False)
-        same_verdict = result.accepted == baseline.accepted
-        same_residual = (
-            result.residual is None
-            and baseline.residual is None
-            or result.residual is not None
-            and baseline.residual is not None
-            and context_equal(result.residual, baseline.residual)
-        )
-        if not (same_verdict and same_residual):
+        if result.accepted != baseline.accepted or (
+            result.accepted and not context_equal(result.residual, baseline.residual)
+        ):
             divergence = {
                 "iteration": iteration,
                 "rule": step.rule,

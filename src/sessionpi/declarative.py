@@ -13,6 +13,16 @@ Derivability is decided by a memoized backtracking search over rule choices
 and splits, bounded by a node budget; exceeding the budget yields
 INCONCLUSIVE rather than a verdict.
 
+Binding is scoped in both systems; renaming is for display and substitution.
+A binder named like a context entry hides that entry in its scope
+(``_bind``).  Its renaming would keep the hidden entry under the old name,
+which no subterm of the scope names.  So an unrestricted hidden entry is
+replaced: un entries are copied to every side and every axiom accepts extra
+ones, which is weakening by ``un``.  A linear one refutes the goal, since no
+subterm can consume it.  In ``x?(x).P`` the entry hidden is the channel's
+continuation type.  A term and its renaming thus get the same verdict, and
+a renamed term, which hides nothing, takes the same path as before.
+
 This module exists to cross-check the deterministic checker: everything the
 checker accepts must be derivable here, while the converse fails on known
 self-deadlocking shapes.
@@ -152,7 +162,7 @@ def derivable_value(i: DeclContext, v: str, t: Type) -> bool:
 
 
 def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
-    """Search for a derivation of ``i ⊢ p``; the process must be renamed apart."""
+    """Search for a derivation of ``i ⊢ p``."""
     search = _Search(bound)
     try:
         ok = search.derivable(i, p)
@@ -194,15 +204,15 @@ class _Search:
                         return True
                 return False
             case New(binder, annot, body):
-                if not is_safe_type(annot) or binder in i:
-                    return False
-                return self.derivable(i.add(binder, annot), body)
+                inner = _bind(i, binder, annot) if is_safe_type(annot) else None
+                return inner is not None and self.derivable(inner, body)
             case Input(chan, binder, body):
                 t = i.get(chan)
-                if t is None or binder in i:
+                if t is None:
                     return False
                 for t2, payload in _shapes(t, Recv):
-                    if self.derivable(i.set(chan, t2).add(binder, payload), body):
+                    inner = _bind(i.set(chan, t2), binder, payload)
+                    if inner is not None and self.derivable(inner, body):
                         return True
                 return False
             case Output(chan, arg, body):
@@ -217,6 +227,15 @@ class _Search:
                             return True
                 return False
         raise TypeError(f"not a process: {p!r}")
+
+
+def _bind(i: DeclContext, binder: str, t: Type) -> Optional[DeclContext]:
+    """``i`` with ``binder : t`` in scope, or ``None`` when the entry the
+    binder hides is linear (see the module docstring)."""
+    hidden = i.get(binder)
+    if hidden is None:
+        return i.add(binder, t)
+    return i.set(binder, t) if is_un_type(hidden) else None
 
 
 def _shapes(t: Type, ctor) -> Iterator[tuple[Type, Type]]:

@@ -2,10 +2,12 @@
 
 Congruence rewrites are enumerated one application at a time, at every
 position, in both directions for the six invertible laws (commutativity,
-associativity, the 0 unit, replication unfolding, scope extrusion,
-restriction swap); the two garbage-collection laws for restricted 0 only
-erase.  Full congruence closure is never decided (replication unfolding
-makes it non-terminating); property suites only ever need single steps.
+associativity, the 0 unit, replication unfolding, scope extrusion, the swap
+of two restrictions of different names); the two garbage-collection laws
+for restricted 0 only erase.  Every law tests its side conditions on the
+term as given, so a raw term needs no renaming first.  Full congruence
+closure is never decided (replication unfolding makes it non-terminating);
+property suites only ever need single steps.
 
 Reduction enumerates communication redexes: an output and an input on the
 same channel sitting in the same parallel soup (the flattening of nested
@@ -106,7 +108,7 @@ def _local_steps(q: Process) -> Iterator[tuple[str, str, Process]]:
         case New(x, t, body):
             if isinstance(body, Par) and x not in free_vars(body.right):
                 yield "scope-extrusion", "RL", Par(New(x, t, body.left), body.right)
-            if isinstance(body, New):
+            if isinstance(body, New) and body.binder != x:
                 yield "res-swap", "LR", New(body.binder, body.annot, New(x, t, body.cont))
             if isinstance(body, Zero) and is_un_type(t):
                 rule = "res-gc-pair" if isinstance(t, ChanType) else "res-gc"

@@ -302,6 +302,33 @@ def use_exhaustive_splits(monkeypatch) -> None:
     monkeypatch.setattr(declarative, "enumerate_splits", lambda i, *names: original(i))
 
 
+def shadowing_procs(size: int, names: tuple, annots: list) -> Iterator[Process]:
+    """Every process of at most ``size`` nodes over ``names`` whose binders
+    are x, y or u, so that they shadow the context's names and each other;
+    restrictions carry each of ``annots``."""
+    if size >= 1:
+        yield Zero()
+    if size >= 2:
+        for cont in shadowing_procs(size - 1, names, annots):
+            yield Repl(cont)
+        for chan in names:
+            for arg in names:
+                for cont in shadowing_procs(size - 1, names, annots):
+                    yield Output(chan, arg, cont)
+        for binder in ("x", "y", "u"):
+            inner = names if binder in names else names + (binder,)
+            for cont in shadowing_procs(size - 1, inner, annots):
+                for chan in names:
+                    yield Input(chan, binder, cont)
+                for annot in annots:
+                    yield New(binder, annot, cont)
+    if size >= 3:
+        for k in range(1, size - 1):
+            for left in shadowing_procs(k, names, annots):
+                for right in shadowing_procs(size - 1 - k, names, annots):
+                    yield Par(left, right)
+
+
 # ---------------------------------------------------------------------------
 # Deep inputs: (name, context text, process text)
 # ---------------------------------------------------------------------------

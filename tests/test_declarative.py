@@ -22,8 +22,8 @@ from sessionpi.equality import head_qual
 from sessionpi.gen import gen_process, gen_safe_context, lin_pingpong, poll_system, un_server
 from sessionpi.syntax import Qual, is_endpoint
 from tests.conftest import load_fixture
-from tests.helpers import count_fills, subprocesses, use_exhaustive_splits
-from tests.test_acceptance import U6, _exhaustive_procs
+from tests.helpers import count_fills, shadowing_procs, subprocesses, use_exhaustive_splits
+from tests.test_acceptance import U6, _exhaustive_procs, criterion_04_contexts
 
 E = parse_type("un end")
 LIN_IN = parse_type("lin ?(un end).un end")
@@ -168,6 +168,30 @@ def test_witnesses_separate_oracle_from_checker():
         assert not type_check(ctx, p).accepted
         res = derivable(to_decl_context(ctx), barendregt_rename(p, avoid=ctx.names()))
         assert res.verdict is Verdict.DERIVABLE
+
+
+def test_raw_terms_are_decided_as_their_renaming():
+    # Binding is scoped: a binder named like a context entry hides it, so
+    # the raw term gets its renaming's verdict, and whatever the checker
+    # accepts on the raw term is derivable on it.
+    procs = list(shadowing_procs(3, ("x", "y"), U6))
+    pairs, accepted, disagree, refuted = 0, 0, [], []
+    for ctx in criterion_04_contexts():
+        decl = to_decl_context(ctx)
+        for p in procs:
+            q = barendregt_rename(p, avoid=ctx.names())
+            if q is p:
+                continue
+            pairs += 1
+            verdict = derivable(decl, p).verdict
+            if verdict is not derivable(decl, q).verdict:
+                disagree.append((str(ctx), str(p)))
+            if type_check(ctx, p, trace=False).accepted:
+                accepted += 1
+                if verdict is not Verdict.DERIVABLE:
+                    refuted.append((str(ctx), str(p)))
+    assert pairs == 7528 and accepted > 0
+    assert disagree == [] and refuted == []
 
 
 def test_tiny_budget_is_inconclusive():

@@ -2,7 +2,7 @@ import collections
 import random
 import time
 
-from sessionpi import barendregt_rename, parse_process, parse_type, pretty
+from sessionpi import barendregt_rename, context_equal, parse_context, parse_process, parse_type, pretty, type_check
 from sessionpi.gen import closed_session, delegation, gen_process, lin_pingpong, poll_system, un_server
 from sessionpi.semantics import (
     _needs,
@@ -65,6 +65,22 @@ def test_scope_extrusion_respects_freeness():
         parse_process("x!z.0"),
     )
     assert not _steps_by_rule(blocked, "scope-extrusion")
+
+
+def test_restrictions_of_one_name_do_not_swap():
+    # Swapping two restrictions of the same name would move the outer
+    # annotation onto the inner scope, which turns an accepted term into a
+    # rejected one.
+    ctx = parse_context("v : un end")
+    p = parse_process(
+        "new c: un end. new c: <lin !(un end).un end, lin ?(un end).un end>. (c!v.0 | c?(u).0)"
+    )
+    baseline = type_check(ctx, p, trace=False)
+    assert baseline.accepted
+    assert not _steps_by_rule(p, "res-swap")
+    for step in congruence_steps(p):
+        result = type_check(ctx, step.result, trace=False)
+        assert result.accepted and context_equal(result.residual, baseline.residual), step
 
 
 def test_rewrites_are_invertible():
