@@ -272,9 +272,18 @@ _HANDLERS = {
 }
 
 
+# The least value of each numeric option.
+_LEAST = {"bound": 1, "steps": 0, "iterations": 0}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for option, least in _LEAST.items():
+        value = getattr(args, option, least)
+        if value < least:
+            print(f"usage error: --{option} must be at least {least}, not {value}", file=sys.stderr)
+            return 2
     try:
         report, code = _HANDLERS[args.command](args)
     except ParseError as err:

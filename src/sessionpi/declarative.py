@@ -5,12 +5,40 @@ parallel composition instead of threading it: unrestricted entries are
 copied to both sides, linear entries go to exactly one side, and a pair of
 linear ends may be divided between the two sides.  Splits are duplicate-free
 by construction: each entry's options are pairwise distinct, so no two of
-their combinations coincide.  They are also relevance-directed, as in
-linear-logic proof search (Hodas & Miller, Inf. & Comp. 110(2), 1994;
-Cervesato, Hodas & Pfenning, TCS 232, 2000): a linear entry goes only to a
-side whose process has its name free, since no other side could consume it.
-Derivability is decided by a memoized backtracking search over rule choices
-and splits, bounded by a node budget; exceeding the budget yields
+their combinations coincide.  They are also directed by the names each side
+uses, as in the input/output resource management of linear-logic proof
+search (Hodas & Miller, Inf. & Comp. 110(2), 1994; Cervesato, Hodas &
+Pfenning, TCS 232, 2000).  A linear entry goes only to a side whose process
+has its name free, since no other side could consume it.  A side gets an
+entry for every name it has free, since each free occurrence is the channel
+or the argument of a prefix, whose rule needs the name typed.
+
+A maximal ``|`` soup ``P1 | ... | Pn`` is split n ways at once, which
+derives what the nested binary splits derive.  Splits divide entries
+independently, so take one entry of a name ``x`` and the threads that have
+``x`` free, its users.  Each user needs a share of the entry, and any
+other thread takes unrestricted shares only, which it drops (weakening by
+``un``, below).  Whichever way the binary splits nest, they give the users:
+
+- an unrestricted entry, copied to every user;
+- a linear endpoint, to its one user; with two users or more, no split;
+- a pair of linear ends, whole to its one user, or one end to each of two
+  users in either orientation: the split at their innermost common ``|``
+  divides the pair, and no split divides an end; with three, no split;
+- a pair of a linear and an unrestricted end, whole to one user, with the
+  unrestricted end copied to every other: each split gives the side
+  without the pair that end, and the splits below copy it.
+
+``_spreads`` builds these as the nested splits of the first user against
+the rest.  A thread's derivability depends on its own shares only, so the
+soup is derivable exactly when one spread per name makes every thread
+derivable.  The search places one name at a time and decides each thread
+as soon as all its names are placed: forward checking (Haralick & Elliott,
+AI 14(3), 1980) applied to lazy resource distribution (Harland & Pym, ACM
+TOCL 4(1), 2003).  A thread's goal holds its own entries only, so the memo
+refutes a wrong option once, not once per combination of the others.
+Derivability is decided by this memoized backtracking search over rule
+choices and splits, bounded by a node budget; exceeding the budget yields
 INCONCLUSIVE rather than a verdict.
 
 Binding is scoped in both systems; renaming is for display and substitution.
@@ -85,14 +113,34 @@ class _BudgetExceeded(Exception):
 
 @_memoized
 def _entry_options(
-    t: Type, left_uses: bool, right_uses: bool
+    t: Type, left_uses: Optional[bool], right_uses: Optional[bool]
 ) -> tuple[tuple[Optional[Type], Optional[Type]], ...]:
-    """``_divisions(t)`` less the options that give a linear type to a side
-    that does not use the name; kept, since interned types hash in O(1)."""
+    """``_divisions(t)`` less the options that a side's use of the name
+    rules out: a side with the name free takes a type, and a side without
+    it no linear one (``None``: use unknown, nothing ruled out).  Kept,
+    since interned types hash in O(1)."""
     return tuple(
-        (l, r) for l, r in _divisions(t)
-        if (left_uses or l is None or is_un_type(l)) and (right_uses or r is None or is_un_type(r))
+        (l, r) for l, r in _divisions(t) if _fits(l, left_uses) and _fits(r, right_uses)
     )
+
+
+def _fits(t: Optional[Type], uses: Optional[bool]) -> bool:
+    if uses is None:
+        return True
+    return t is not None if uses else t is None or is_un_type(t)
+
+
+@_memoized
+def _spreads(t: Type, users: int) -> tuple[tuple[Type, ...], ...]:
+    """Ways to give each of ``users`` threads that have a name free its own
+    type out of the name's entry ``t``: the nested binary splits, first
+    thread against the rest, in which every side gets the name."""
+    partial: list[tuple[tuple[Type, ...], Type]] = [((), t)]
+    for _ in range(users - 1):
+        partial = [
+            (given + (l,), r) for given, rest in partial for l, r in _entry_options(rest, True, True)
+        ]
+    return tuple(given + (rest,) for given, rest in partial)
 
 
 def _divisions(t: Type) -> list[tuple[Optional[Type], Optional[Type]]]:
@@ -122,18 +170,23 @@ def enumerate_splits(
     left_names: Optional[AbstractSet[str]] = None,
     right_names: Optional[AbstractSet[str]] = None,
 ) -> Iterator[Split]:
-    """Divisions of ``i`` licensed by the splitting rules that give a side
-    linear entries only for names it uses (``None``: every name, which is the
-    exhaustive reference).  Entries are divided independently and each one's
-    options are distinct, so no split repeats and none needs filtering."""
-    all_names = i.names()
-    if not all_names:
+    """Divisions of ``i`` licensed by the splitting rules that give each side
+    an entry for every name it uses and a linear entry for no other name
+    (``None``: every division, which is the exhaustive reference).  Entries
+    are divided independently and each one's options are distinct, so no
+    split repeats and none needs filtering."""
+    if not len(i):
         yield Split(i, i)
         return
-    names = tuple(sorted(all_names))
-    left_names = all_names if left_names is None else left_names
-    right_names = all_names if right_names is None else right_names
-    options = [_entry_options(i.get(n), n in left_names, n in right_names) for n in names]
+    names = tuple(sorted(i.names()))
+    options = [
+        _entry_options(
+            i.get(n),
+            None if left_names is None else n in left_names,
+            None if right_names is None else n in right_names,
+        )
+        for n in names
+    ]
     for combo in itertools.product(*options):
         # A side's types, one per name, ``None`` where the name is absent;
         # ``filter(None, ...)`` keeps the types, none of which is falsy.
@@ -175,7 +228,7 @@ def derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
 class _Search:
     """One search: the node budget still ``left`` and the memo of decided
     goals.  Recursive calls sit in plain loops, not in ``any(...)``, so
-    that each process level costs two frames."""
+    that a prefix costs two frames and a whole ``|`` soup three."""
 
     def __init__(self, bound: int):
         self.left = bound
@@ -198,11 +251,8 @@ class _Search:
                 return is_un_decl_context(i)
             case Repl(body):
                 return is_un_decl_context(i) and self.derivable(i, body)
-            case Par(left, right):
-                for split in enumerate_splits(i, free_vars(left), free_vars(right)):
-                    if self.derivable(split.left, left) and self.derivable(split.right, right):
-                        return True
-                return False
+            case Par():
+                return self._soup(i, _threads(p))
             case New(binder, annot, body):
                 inner = _bind(i, binder, annot) if is_safe_type(annot) else None
                 return inner is not None and self.derivable(inner, body)
@@ -228,6 +278,66 @@ class _Search:
                 return False
         raise TypeError(f"not a process: {p!r}")
 
+    def _soup(self, i: DeclContext, threads: list[Process]) -> bool:
+        """Is some spread of ``i`` over ``threads`` derivable thread by
+        thread?  Names are placed in order of first occurrence, each by one
+        of its ``_spreads`` over its users, and a thread is decided once its
+        last name is placed (see the module docstring)."""
+        # place: each name's place in order of first occurrence; users: per
+        # place, how many threads have the name free; slots: per thread, the
+        # place of each of its names and its share of the name's spread.
+        place: dict[str, int] = {}
+        users: list[int] = []
+        thread_names, slots = [], []
+        for q in threads:
+            names = tuple(sorted(free_vars(q)))
+            own = []
+            for name in names:
+                j = place.get(name)
+                if j is None:
+                    j = place[name] = len(users)
+                    users.append(0)
+                own.append((j, users[j]))
+                users[j] += 1
+            thread_names.append(names)
+            slots.append(own)
+        if any(name not in place and not is_un_type(t) for name, t in i.items()):
+            return False  # a linear entry that no thread can consume
+        options = []
+        for name, j in place.items():
+            t = i.get(name)
+            if t is None:
+                return False  # a free name that nothing types
+            options.append(_spreads(t, users[j]))
+        if not all(options):
+            return False
+        # closes[j]: the threads decided once the first j names are placed.
+        closes: list[list[int]] = [[] for _ in range(len(users) + 1)]
+        for k, own in enumerate(slots):
+            closes[1 + max((j for j, _ in own), default=-1)].append(k)
+        choice = [0] * len(users)
+        j = 0
+        while True:
+            for k in closes[j]:
+                entries = tuple(options[a][choice[a]][b] for a, b in slots[k])
+                if not self.derivable(i.subcontext(thread_names[k], entries), threads[k]):
+                    break
+            else:
+                if j == len(users):
+                    return True
+                choice[j] = 0
+                j += 1
+                continue
+            # Thread k refutes the placed options: advance the last name
+            # that has an option left.
+            j -= 1
+            while j >= 0 and choice[j] + 1 == len(options[j]):
+                j -= 1
+            if j < 0:
+                return False
+            choice[j] += 1
+            j += 1
+
 
 def _bind(i: DeclContext, binder: str, t: Type) -> Optional[DeclContext]:
     """``i`` with ``binder : t`` in scope, or ``None`` when the entry the
@@ -236,6 +346,19 @@ def _bind(i: DeclContext, binder: str, t: Type) -> Optional[DeclContext]:
     if hidden is None:
         return i.add(binder, t)
     return i.set(binder, t) if is_un_type(hidden) else None
+
+
+def _threads(p: Par) -> list[Process]:
+    """The threads of the maximal ``|`` soup at ``p``, left to right."""
+    threads: list[Process] = []
+    stack: list[Process] = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Par):
+            stack += (q.right, q.left)
+        else:
+            threads.append(q)
+    return threads
 
 
 def _shapes(t: Type, ctor) -> Iterator[tuple[Type, Type]]:

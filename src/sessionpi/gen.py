@@ -170,6 +170,34 @@ def poll_context_text(n: int) -> str:
     return "\n".join(lines)
 
 
+# A linear channel whose ends receive and send one unrestricted name.
+LIN_CHANNEL = "<lin ?(un end).un end, lin !(un end).un end>"
+
+
+def _linear_channels(names: list[str]) -> Context:
+    return parse_context("\n".join([f"{c} : {LIN_CHANNEL}" for c in names] + ["v : un end"]))
+
+
+def star_system(n: int, clients_first: bool = False) -> tuple[Context, Process]:
+    """A server that sends ``v`` once on each of ``n`` linear channels, and
+    ``n`` clients that each receive once on one of them.  The server is the
+    first thread of the ``|`` soup, or with ``clients_first`` the last."""
+    chans = [f"c{k}" for k in range(1, n + 1)]
+    server = "".join(f"{c}!v." for c in chans) + "0"
+    clients = [f"{c}?(y).0" for c in chans]
+    threads = clients + [server] if clients_first else [server] + clients
+    return _linear_channels(chans), parse_process(" | ".join(threads))
+
+
+def ring_system(n: int) -> tuple[Context, Process]:
+    """``n`` ≥ 2 threads passing a token round a ring of linear channels:
+    thread k receives on ``ck`` and then sends on the next channel, except
+    thread 0, which sends on ``c1`` first and receives on ``c0`` last."""
+    chans = [f"c{k}" for k in range(n)]
+    threads = ["c1!v.c0?(y).0"] + [f"c{k}?(y).c{(k + 1) % n}!v.0" for k in range(1, n)]
+    return _linear_channels(chans), parse_process(" | ".join(threads))
+
+
 def lin_pingpong() -> tuple[Context, Process]:
     ctx = parse_context(
         "x : <lin ?(un end).un end, lin !(un end).un end>\nv : un end"

@@ -18,9 +18,11 @@ from sessionpi.contexts import (
     _close_item,
     _used_item,
     is_safe_type,
+    is_un_decl_context,
     is_un_item,
 )
 from sessionpi.checker import _consumed, _slots
+from sessionpi.declarative import OracleResult, Verdict, _bind, _shapes, derivable_value
 from sessionpi.equality import is_un_end, type_equal, unfold
 from sessionpi.gen import (
     closed_session,
@@ -295,11 +297,88 @@ def accepted(ctx, p) -> bool:
     return type_check(ctx, p, trace=False).accepted
 
 
+# ---------------------------------------------------------------------------
+# The binary split search: the reference for the oracle's soup search
+# ---------------------------------------------------------------------------
+
+def _exhaustive_splits(i: DeclContext, *names) -> Iterator[declarative.Split]:
+    """Every split the splitting rules license, whichever names each side uses."""
+    return declarative.enumerate_splits(i)
+
+
+class _ReferenceSearch:
+    """The oracle's search with one binary split per ``|``, copied from it
+    before soups were split n ways, except that every split it tries is
+    exhaustive.  Recursive calls sit in plain loops, not in ``any(...)``, so
+    that each process level costs two frames."""
+
+    def __init__(self, bound: int):
+        self.left = bound
+        self.memo: dict[tuple, bool] = {}
+
+    def derivable(self, i: DeclContext, p: Process) -> bool:
+        """Probe the memo once; a goal not decided yet costs one node."""
+        key = (i.canonical(), p)
+        result = self.memo.get(key)
+        if result is None:
+            self.left -= 1
+            if self.left < 0:
+                raise declarative._BudgetExceeded
+            result = self.memo[key] = self._derive(i, p)
+        return result
+
+    def _derive(self, i: DeclContext, p: Process) -> bool:
+        match p:
+            case Zero():
+                return is_un_decl_context(i)
+            case Repl(body):
+                return is_un_decl_context(i) and self.derivable(i, body)
+            case Par(left, right):
+                for split in _exhaustive_splits(i, free_vars(left), free_vars(right)):
+                    if self.derivable(split.left, left) and self.derivable(split.right, right):
+                        return True
+                return False
+            case New(binder, annot, body):
+                inner = _bind(i, binder, annot) if is_safe_type(annot) else None
+                return inner is not None and self.derivable(inner, body)
+            case Input(chan, binder, body):
+                t = i.get(chan)
+                if t is None:
+                    return False
+                for t2, payload in _shapes(t, Recv):
+                    inner = _bind(i.set(chan, t2), binder, payload)
+                    if inner is not None and self.derivable(inner, body):
+                        return True
+                return False
+            case Output(chan, arg, body):
+                for split in _exhaustive_splits(i, {arg}, free_vars(body) | {chan}):
+                    t = split.right.get(chan)
+                    if t is None:
+                        continue
+                    for t2, payload in _shapes(t, Send):
+                        if not derivable_value(split.left, arg, payload):
+                            continue
+                        if self.derivable(split.right.set(chan, t2), body):
+                            return True
+                return False
+        raise TypeError(f"not a process: {p!r}")
+
+
+def reference_derivable(i: DeclContext, p: Process, bound: int = 200_000) -> OracleResult:
+    """``declarative.derivable`` by the binary search over exhaustive splits."""
+    search = _ReferenceSearch(bound)
+    try:
+        ok = search.derivable(i, p)
+    except declarative._BudgetExceeded:
+        return OracleResult(Verdict.INCONCLUSIVE, bound, bound)
+    verdict = Verdict.DERIVABLE if ok else Verdict.NOT_DERIVABLE
+    return OracleResult(verdict, bound, bound - search.left)
+
+
 def use_exhaustive_splits(monkeypatch) -> None:
-    """Make the oracle enumerate every split the splitting rules license,
-    ignoring which names each side uses: the reference search."""
-    original = declarative.enumerate_splits
-    monkeypatch.setattr(declarative, "enumerate_splits", lambda i, *names: original(i))
+    """Make ``derivable``, wherever it is called from, run the search of
+    ``reference_derivable``."""
+    monkeypatch.setattr(declarative, "_Search", _ReferenceSearch)
 
 
 def shadowing_procs(size: int, names: tuple, annots: list) -> Iterator[Process]:

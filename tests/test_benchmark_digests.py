@@ -7,12 +7,12 @@ here, inside the test suite.
 
 ``differential_sweep`` is its row of the table in ``perfbench/NOTES.md``.
 The ``oracle_search`` digest records the oracle's node counts, which
-relevance-directed splits lowered: the table's digest is asserted with the
-exhaustive split enumerator patched in, and the pruned search's own digest
-is pinned next to it.  ``large_inputs`` differs from the table, which was
-made while its three over-limit items failed: they are accepted now, with
-the trace on, and its digest and count (82 accepted, 3 more than the
-table's 79) are those of that pass.
+relevance-directed splits and the soup search lowered: the table's digest
+is asserted with the binary search over exhaustive splits patched in, and
+the default search's own digest is pinned next to it.  ``large_inputs``
+differs from the table, which was made while its three over-limit items
+failed: they are accepted now, with the trace on, and its digest and count
+(82 accepted, 3 more than the table's 79) are those of that pass.
 """
 
 import importlib.util
@@ -32,7 +32,7 @@ PERFBENCH = ROOT / "perfbench"
 # Seed 401: digest prefix and accepted count.
 EXPECTED = {
     "differential_sweep": ("2900e24711e8889f", 186),
-    "oracle_search": ("3aca19a23bb772cb", 16),
+    "oracle_search": ("2edd82fe97075d11", 16),
     "large_inputs": ("92a8f7e6701a1263", 82),
 }
 

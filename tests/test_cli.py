@@ -131,6 +131,32 @@ def test_check_trace_json_accepts_deep_inputs(tmp_path, capsys, name):
     assert report["trace"][0]["subject"] == str(checked.process)
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("oracle", "--bound", "0"), ("oracle", "--bound", "-5"), ("reduce", "--steps", "-3"),
+     ("congruence", "--iterations", "-2")],
+)
+def test_numeric_option_below_its_least_is_usage_error(command, option, value):
+    args = fixture_args("poll")
+    argv = [command, *(args[:1] if command == "reduce" else args), option, value]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "sessionpi.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    least = 1 if option == "--bound" else 0
+    assert done.stderr.splitlines() == [f"usage error: {option} must be at least {least}, not {value}"]
+
+
+def test_numeric_options_at_their_least_run(capsys):
+    proc, *ctx = fixture_args("poll")
+    assert run_cli(capsys, "oracle", proc, *ctx, "--bound", "1")[0] == 3
+    assert run_cli(capsys, "reduce", proc, "--steps", "0")[0] == 0
+    assert run_cli(capsys, "congruence", proc, *ctx, "--iterations", "0")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["check", "reduce"])
 def test_too_deep_input_is_usage_error_without_traceback(tmp_path, command):
     proc = tmp_path / "chain.pi"

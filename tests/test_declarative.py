@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import pytest
+
 from sessionpi import (
     ChanType,
     Context,
     ContextAlgebraError,
     barendregt_rename,
     entry_of_type,
+    parse_context,
     parse_process,
     parse_type,
     type_check,
@@ -14,15 +17,31 @@ from sessionpi import (
 from sessionpi.contexts import DeclContext, is_un_type, to_decl_context
 from sessionpi.declarative import (
     Verdict,
+    _spreads,
     derivable,
     derivable_value,
     enumerate_splits,
 )
 from sessionpi.equality import head_qual
-from sessionpi.gen import gen_process, gen_safe_context, lin_pingpong, poll_system, un_server
+from sessionpi.gen import (
+    gen_process,
+    gen_safe_context,
+    lin_pingpong,
+    poll_system,
+    ring_system,
+    star_system,
+    un_server,
+)
 from sessionpi.syntax import Qual, is_endpoint
 from tests.conftest import load_fixture
-from tests.helpers import count_fills, shadowing_procs, subprocesses, use_exhaustive_splits
+from tests.helpers import (
+    count_fills,
+    deep_inputs,
+    reference_derivable,
+    shadowing_procs,
+    subprocesses,
+    use_exhaustive_splits,
+)
 from tests.test_acceptance import U6, _exhaustive_procs, criterion_04_contexts
 
 E = parse_type("un end")
@@ -115,6 +134,42 @@ def test_all_splits_recombine_on_random_contexts():
         splits = list(enumerate_splits(i))
         assert len({(s.left.canonical(), s.right.canonical()) for s in splits}) == len(splits)
         assert all(_recombines(s, i) for s in splits)
+
+
+def test_splits_give_every_side_the_names_it_uses():
+    # A side that has a name free needs an entry for it; a side that does
+    # not takes no linear entry.
+    pair = ChanType(LIN_IN, LIN_OUT)
+    both = list(enumerate_splits(DeclContext([("x", pair)]), {"x"}, {"x"}))
+    assert {(s.left.get("x"), s.right.get("x")) for s in both} == {(LIN_IN, LIN_OUT), (LIN_OUT, LIN_IN)}
+    assert list(enumerate_splits(DeclContext([("x", LIN_OUT)]), {"x"}, {"x"})) == []
+    one = list(enumerate_splits(DeclContext([("x", LIN_OUT), ("v", E)]), {"x", "v"}, set()))
+    assert [(s.left.get("x"), s.right.get("x"), s.right.get("v")) for s in one] == [(LIN_OUT, None, E)]
+
+
+def _nested_spreads(t, users: int) -> set:
+    """The types that exhaustive binary splits, nested as the parser nests
+    ``|`` (all but the last thread on the left), give ``users`` threads."""
+    if users == 1:
+        return {(t,)}
+    spreads = set()
+    for s in enumerate_splits(DeclContext([("x", t)])):
+        if s.left.get("x") is not None:
+            spreads |= {rest + (s.right.get("x"),) for rest in _nested_spreads(s.left.get("x"), users - 1)}
+    return spreads
+
+
+def test_soup_spreads_are_the_nested_binary_splits():
+    # Every thread of a soup gets a type for each name it has free: the
+    # n-ary spreads are the nested binary splits that leave no user of the
+    # name without one, whichever way the binary splits nest.
+    pool = [E, LIN_IN, LIN_OUT, UN_REC_IN, ChanType(LIN_IN, LIN_OUT), ChanType(LIN_OUT, LIN_OUT),
+            ChanType(LIN_OUT, E), ChanType(E, LIN_IN), ChanType(E, E)]
+    for t in pool:
+        for users in range(1, 5):
+            spreads = _spreads(t, users)
+            want = {s for s in _nested_spreads(t, users) if None not in s}
+            assert len(set(spreads)) == len(spreads) and set(spreads) == want, (str(t), users)
 
 
 def test_value_axiom():
@@ -247,9 +302,10 @@ def _poll_spent(sizes, orders=(False, True)):
 
 def test_poll_search_spends_pinned_node_counts():
     # The search order is part of the contract: the same goals are decided
-    # in the same order, so the node counts stay fixed.  Relevance-directed
-    # splits make them 13 + 3n in both thread orders.
-    assert _poll_spent(range(1, 7)) == [16, 16, 19, 19, 22, 22, 25, 25, 28, 28, 31, 31]
+    # in the same order, so the node counts stay fixed.  The client's n
+    # forwards are one soup, so for n >= 2 they cost 15 + 2n in both thread
+    # orders: one node for the soup and two for each forward.
+    assert _poll_spent(range(1, 7)) == [16, 16, 19, 19, 21, 21, 23, 23, 25, 25, 27, 27]
 
 
 def test_poll_search_with_exhaustive_splits_spends_reference_node_counts(monkeypatch):
@@ -260,8 +316,8 @@ def test_poll_search_with_exhaustive_splits_spends_reference_node_counts(monkeyp
 
 
 def test_poll_search_grows_linearly():
-    # Decided within the default bound, at 13 + 3n nodes.
-    assert _poll_spent((8, 40, 300), orders=(False,)) == [37, 133, 913]
+    # Decided within the default bound, at 15 + 2n nodes.
+    assert _poll_spent((8, 40, 300), orders=(False,)) == [31, 95, 615]
 
 
 def _criterion_4_pairs(stride: int):
@@ -314,14 +370,13 @@ def _generated_pairs(count: int):
     return pairs, mixed
 
 
-def test_pruned_splits_agree_with_exhaustive_search(monkeypatch):
+def test_pruned_splits_agree_with_exhaustive_search():
     pairs = list(_criterion_4_pairs(16)) + _delegating_pairs()
     generated, mixed = _generated_pairs(2_000)
     pairs += generated
     assert len(pairs) == 50_044 + 12_303 + 2_000 and mixed >= 100
     pruned = [derivable(i, p).verdict for i, p in pairs]
-    use_exhaustive_splits(monkeypatch)
-    reference = [derivable(i, p).verdict for i, p in pairs]
+    reference = [reference_derivable(i, p).verdict for i, p in pairs]
     assert reference.count(Verdict.DERIVABLE) > 500
     assert Verdict.INCONCLUSIVE not in reference
     disagreements = [
@@ -332,11 +387,50 @@ def test_pruned_splits_agree_with_exhaustive_search(monkeypatch):
 
 def test_poll_system_subterms_are_filled_once_by_the_memo(monkeypatch):
     # The oracle reads each subterm's hash and free names off the node: one
-    # fill of poll_system(300) enters each of its 913 subterms once.
+    # fill of poll_system(300) enters each of its 913 subterms once, the 298
+    # inner nodes of the forwards' soup too, which are not goals.
     ctx, p = poll_system(300)
     q = barendregt_rename(p, avoid=ctx.names())
     fills = count_fills(monkeypatch)
-    assert derivable(to_decl_context(ctx), q).spent == 913
+    assert derivable(to_decl_context(ctx), q).spent == 615
     subterms = list(subprocesses(q))
     assert len(subterms) == 913 == len(fills) == sum(fills.values())
     assert all(fills[id(sub)] == 1 for sub in subterms)
+
+
+SHAPES = {
+    "star": star_system,
+    "star_clients_first": lambda n: star_system(n, clients_first=True),
+    "ring": ring_system,
+}
+
+
+@pytest.mark.parametrize(
+    "shape, spent",
+    [
+        ("star", [18, 34, 66, 130, 258]),
+        ("star_clients_first", [14, 26, 50, 98, 194]),
+        ("ring", [18, 38, 78, 158, 318]),
+    ],
+)
+def test_stars_and_rings_spend_pinned_node_counts(shape, spent):
+    # A soup is searched one name at a time, and each thread is decided
+    # once its names are placed, so a wrong option is refuted by its one
+    # thread: 2 + 4n, 2 + 3n and 5n - 2 nodes at n = 4 ... 64, where the
+    # binary search was exponential on stars.  The checker accepts them all.
+    got = []
+    for n in (4, 8, 16, 32, 64):
+        ctx, p = SHAPES[shape](n)
+        assert type_check(ctx, p, trace=False).accepted
+        res = derivable(to_decl_context(ctx), p)
+        assert res.verdict is Verdict.DERIVABLE
+        got.append(res.spent)
+    assert got == spent
+
+
+@pytest.mark.parametrize("name", sorted(deep_inputs()))
+def test_deep_inputs_are_derivable_within_the_default_bound(name):
+    # A soup costs three frames however wide it is, and a prefix two.
+    ctx_text, proc_text = deep_inputs()[name]
+    res = derivable(to_decl_context(parse_context(ctx_text)), parse_process(proc_text))
+    assert res.verdict is Verdict.DERIVABLE
