@@ -34,15 +34,15 @@ from typing import Iterable, Iterator, Union
 
 from .equality import head_qual, is_un_end, type_equal, unfold
 from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END
-from .syntax import _Interned, _interned_node, _memoized
+from .syntax import _Interned, _interned_node, _memoized, render_type
 
 
 @_interned_node
 class Void(_Interned):
     """Marker for a consumed, unusable endpoint slot."""
 
-    def __str__(self) -> str:
-        return "◦"
+    def _pieces(self) -> tuple:
+        return ("◦",)
 
 
 VOID = Void()
@@ -58,8 +58,8 @@ class Single(_Interned):
     def slots(self) -> tuple[Item]:
         return (self.item,)
 
-    def __str__(self) -> str:
-        return str(self.item)
+    def _pieces(self) -> tuple:
+        return (self.item,)
 
 
 @_interned_node
@@ -71,8 +71,8 @@ class Pair(_Interned):
     def slots(self) -> tuple[Item, Item]:
         return (self.left, self.right)
 
-    def __str__(self) -> str:
-        return f"<{self.left}, {self.right}>"
+    def _pieces(self) -> tuple:
+        return "<", self.left, ", ", self.right, ">"
 
 
 Entry = Union[Single, Pair]
@@ -113,7 +113,9 @@ class _Index:
     each holds only a tuple of entries, one per name.  The indexes that
     ``add``, ``remove`` and ``subcontext`` derive are kept on the index
     they come from, so a run that binds and drops the same names reuses
-    them.  An index made by adding a name answers the removal of that name
+    them.  An index made by adding a name copies the positions of the index
+    it came from and adds the one new name, so a binder costs one dict copy,
+    not a rebuild from all the names.  It answers the removal of that name
     with the index it came from, which it refers to weakly: no index keeps
     the one it came from alive, so a family of indexes is freed with the
     last context over it, without the garbage collector.  There is no table
@@ -122,9 +124,11 @@ class _Index:
 
     __slots__ = ("names", "positions", "_plus", "_minus", "_subs", "_origin", "__weakref__")
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: tuple[str, ...], positions: dict[str, int] | None = None):
         self.names = names
-        self.positions = dict(zip(names, range(len(names))))
+        if positions is None:
+            positions = dict(zip(names, range(len(names))))
+        self.positions = positions
         self._plus: dict[str, _Index] | None = None
         self._minus: dict[str, _Index] | None = None
         self._subs: dict[tuple[str, ...], _Index] | None = None
@@ -136,7 +140,9 @@ class _Index:
             self._plus = {}
         index = self._plus.get(name)
         if index is None:
-            index = self._plus[name] = _Index(self.names + (name,))
+            positions = self.positions.copy()
+            positions[name] = len(self.names)
+            index = self._plus[name] = _Index(self.names + (name,), positions)
             index._origin = weakref.ref(self)
         return index
 
@@ -253,7 +259,7 @@ class Context:
         return len(self._entries)
 
     def __str__(self) -> str:
-        return ", ".join(f"{name}: {entry}" for name, entry in self.items()) or "∅"
+        return ", ".join(f"{name}: {_entry_text(entry)}" for name, entry in self.items()) or "∅"
 
     def __repr__(self) -> str:
         return f"Context({dict(self.items())!r})"
@@ -278,9 +284,16 @@ def context_equal(g1: Context, g2: Context) -> bool:
 DeclContext = Context
 
 
+@_memoized
+def _entry_text(e: Entry) -> str:
+    """The text of ``e``, printed once per entry: a traced run prints the
+    same entries in the contexts of all its steps."""
+    return render_type(e)
+
+
 def context_file_text(g: Context) -> str:
     """Serialize in context-file form (one ``name : entry`` per line)."""
-    return "\n".join(f"{name} : {entry}" for name, entry in g.items())
+    return "\n".join(f"{name} : {_entry_text(entry)}" for name, entry in g.items())
 
 
 def pretty(value) -> str:

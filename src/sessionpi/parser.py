@@ -24,6 +24,8 @@ lengths give where every token ends; a character that starts no token
 takes the rest of the input into the last part and is reported there, so
 no stretch of the input is read twice.  The line and column of a token are
 worked out from that offset only when it becomes a process node or an error.
+A context file's distinct entry texts are parsed once each: lines that bind
+names to the same text share its one parse.
 """
 
 from __future__ import annotations
@@ -273,9 +275,12 @@ def parse_entry(src: str) -> Entry:
 
 def parse_context(src: str) -> Context:
     """Parse a context file: one ``name : entry`` per line, ``#`` comments.
-    Lines end at ``\\n`` alone, as they do for the tokenizer."""
+    Lines end at ``\\n`` alone, as they do for the tokenizer.  Each distinct
+    entry text is parsed once; a text that fails is not kept, so the error
+    names the first line that has it."""
     entries: list[tuple[str, Entry]] = []
     seen: set[str] = set()
+    parsed: dict[str, Entry] = {}  # entry text -> its entry
     for lineno, raw in enumerate(src.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip(_BLANKS)
         if not line.lstrip(_BLANKS):
@@ -294,9 +299,12 @@ def parse_context(src: str) -> Context:
         if name in seen:
             raise ParseError(f"duplicate name {name!r} in context", lineno, column)
         seen.add(name)
-        try:
-            entries.append((name, parse_entry(entry_part)))
-        except ParseError as err:
-            column = raw.index(":") + 1 + err.column  # the entry starts after the colon
-            raise ParseError(f"in binding for {name!r}: {err.message}", lineno, column)
+        entry = parsed.get(entry_part)
+        if entry is None:
+            try:
+                entry = parsed[entry_part] = parse_entry(entry_part)
+            except ParseError as err:
+                column = raw.index(":") + 1 + err.column  # the entry starts after the colon
+                raise ParseError(f"in binding for {name!r}: {err.message}", lineno, column)
+        entries.append((name, entry))
     return Context(entries)

@@ -52,10 +52,15 @@ class _Interned:
     equal node built earlier is returned instead of a new one.  Equality is
     therefore identity, and ``hash`` is identity-based (neither recurses, so
     types of any depth can be set members and dict keys).  Copying and
-    pickling go back through the constructor.
+    pickling go back through the constructor.  A node prints through
+    ``render_type``, which reads the pieces each class lists in
+    ``_pieces``.
     """
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return render_type(self)
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -71,6 +76,25 @@ class _Interned:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def render_type(t: _Interned) -> str:
+    """The concrete syntax of a type node or context entry.
+
+    Each node class lists its pieces in order in ``_pieces``: text, and the
+    nodes it holds.  The walk keeps the pending pieces on an explicit
+    stack, as ``render`` does for processes, so depth costs no recursion.
+    """
+    out: list[str] = []
+    stack: list = [t]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        q = pop()
+        if type(q) is str:
+            out.append(q)
+        else:
+            extend(reversed(q._pieces()))
+    return "".join(out)
 
 
 # ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
@@ -109,8 +133,8 @@ class Recv(_Interned):
     payload: "Type"
     cont: "Endpoint"
 
-    def __str__(self) -> str:
-        return f"?({self.payload}).{self.cont}"
+    def _pieces(self) -> tuple:
+        return "?(", self.payload, ").", self.cont
 
 
 @_interned_node
@@ -120,16 +144,16 @@ class Send(_Interned):
     payload: "Type"
     cont: "Endpoint"
 
-    def __str__(self) -> str:
-        return f"!({self.payload}).{self.cont}"
+    def _pieces(self) -> tuple:
+        return "!(", self.payload, ").", self.cont
 
 
 @_interned_node
 class End(_Interned):
     """Pre-type ``end``: no further interaction on this endpoint."""
 
-    def __str__(self) -> str:
-        return "end"
+    def _pieces(self) -> tuple:
+        return ("end",)
 
 
 PreType = Union[Recv, Send, End]
@@ -142,16 +166,16 @@ class Qualified(_Interned):
     qual: Qual
     pre: PreType
 
-    def __str__(self) -> str:
-        return f"{self.qual.value} {self.pre}"
+    def _pieces(self) -> tuple:
+        return self.qual.value, " ", self.pre
 
 
 @_interned_node
 class TypeVar(_Interned):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
+    def _pieces(self) -> tuple:
+        return (self.name,)
 
 
 @_interned_node
@@ -161,8 +185,8 @@ class Rec(_Interned):
     var: str
     body: "Endpoint"
 
-    def __str__(self) -> str:
-        return f"rec {self.var}. {self.body}"
+    def _pieces(self) -> tuple:
+        return "rec ", self.var, ". ", self.body
 
 
 Endpoint = Union[Qualified, TypeVar, Rec]
@@ -175,8 +199,8 @@ class ChanType(_Interned):
     left: Endpoint
     right: Endpoint
 
-    def __str__(self) -> str:
-        return f"<{self.left}, {self.right}>"
+    def _pieces(self) -> tuple:
+        return "<", self.left, ", ", self.right, ">"
 
 
 Type = Union[Endpoint, ChanType]

@@ -566,6 +566,30 @@ def reference_str(p) -> str:
             return f"new {binder}: {annot}. {factor(cont)}"
 
 
+def reference_type_str(t) -> str:
+    """Type or entry text, one recursive call per node: the reference that
+    the explicit-stack ``syntax.render_type`` must match."""
+    match t:
+        case Recv(payload, cont):
+            return f"?({reference_type_str(payload)}).{reference_type_str(cont)}"
+        case Send(payload, cont):
+            return f"!({reference_type_str(payload)}).{reference_type_str(cont)}"
+        case End():
+            return "end"
+        case Qualified(qual, pre):
+            return f"{qual.value} {reference_type_str(pre)}"
+        case TypeVar(name):
+            return name
+        case Rec(var, body):
+            return f"rec {var}. {reference_type_str(body)}"
+        case ChanType(left, right) | Pair(left, right):
+            return f"<{reference_type_str(left)}, {reference_type_str(right)}>"
+        case Single(item):
+            return reference_type_str(item)
+        case Void():
+            return "◦"
+
+
 # ---------------------------------------------------------------------------
 # Reference validation: closed and contractive, checked by walking the result
 # ---------------------------------------------------------------------------

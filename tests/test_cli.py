@@ -131,6 +131,32 @@ def test_check_trace_json_accepts_deep_inputs(tmp_path, capsys, name):
     assert report["trace"][0]["subject"] == str(checked.process)
 
 
+def test_check_prints_a_context_at_the_parsers_depth_limit(tmp_path, capsys):
+    """An accepted check prints its residual however deeply the context's
+    types nest: the deepest payload nesting the parser takes checks with
+    exit 0, and the residual parses back to the same context."""
+    proc, ctx = tmp_path / "p.pi", tmp_path / "c.ctx"
+    proc.write_text("0\n")
+
+    def check(n):
+        text = "x : " + "un !(" * n + "un end" + ").un end" * n + "\nv : un end\n"
+        ctx.write_text(text)
+        return text, run_cli(capsys, "check", str(proc), "--ctx", str(ctx), "--json")
+
+    deepest, over = 1, 2000  # the deepest nesting that parses, one that does not
+    while over - deepest > 1:
+        mid = (deepest + over) // 2
+        if check(mid)[1][2].startswith("parse error"):
+            over = mid
+        else:
+            deepest = mid
+    assert "input too deep to parse" in check(over)[1][2]
+    assert deepest > 200
+    text, (code, out, err) = check(deepest)
+    assert (code, err) == (0, "")
+    assert parse_context(json.loads(out)["residual"]) == parse_context(text)
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [("oracle", "--bound", "0"), ("oracle", "--bound", "-5"), ("reduce", "--steps", "-3"),

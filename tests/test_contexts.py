@@ -22,6 +22,7 @@ from sessionpi import (
     parse_context,
     parse_entry,
     parse_type,
+    pretty,
     to_decl_context,
     update_context,
     update_entry,
@@ -216,8 +217,6 @@ def test_entry_type_conversion_round_trip():
 
 
 def test_context_pretty_round_trip():
-    from sessionpi import pretty
-
     rng = random.Random(24)
     for _ in range(50):
         g = gen_safe_context(rng, ["x", "y", "z'"])
@@ -246,6 +245,7 @@ def _agrees(g: Context, model: dict):
     assert g.names() == frozenset(model)
     assert len(g) == len(model)
     assert g.canonical() == tuple(sorted(model.items()))
+    assert g._index.positions == {n: i for i, n in enumerate(g._index.names)}
     for name in NAMES:
         assert g.get(name) == model.get(name)
         assert (name in g) == (name in model)
@@ -300,6 +300,32 @@ def test_derived_contexts_share_their_index():
     grown = g.add("z", Single(E))
     for copied in (pickle.loads(pickle.dumps(grown)), copy.deepcopy(grown)):
         assert copied == grown and list(copied.items()) == list(grown.items())
+
+
+def test_nested_adds_removed_in_reverse_give_back_the_first_index():
+    first = g = Context([("x", Single(E))])
+    names = [f"n{i}" for i in range(500)]
+    for k, name in enumerate(names):
+        g = g.add(name, Single(LIN_IN if k % 2 else VOID))
+        assert g._index.positions[name] == k + 1 == len(g) - 1
+    assert g._index.positions == {n: i for i, n in enumerate(["x", *names])}
+    for name in reversed(names):
+        g = g.remove(name)
+    assert g._index is first._index and g == first
+
+
+def test_a_context_prints_each_entry_once(monkeypatch):
+    import sessionpi.contexts as contexts
+
+    printed = []
+    render_type = contexts.render_type
+    monkeypatch.setattr(contexts, "render_type", lambda e: printed.append(e) or render_type(e))
+    entry = Single(parse_type("rec printed_once. lin !(un end).printed_once"))
+    g = Context((f"x{i}", entry) for i in range(50))
+    text = "rec printed_once. lin !(un end).printed_once"
+    assert str(g) == ", ".join(f"x{i}: {text}" for i in range(50))
+    assert pretty(g) == "\n".join(f"x{i} : {text}" for i in range(50))
+    assert printed == [entry]
 
 
 def _algebra_outcome(op, *args):

@@ -19,7 +19,10 @@ from sessionpi import (
     Qualified,
     Rec,
     Recv,
+    VOID,
+    Pair,
     Repl,
+    Send,
     TypeVar,
     UN_END,
     Zero,
@@ -33,6 +36,7 @@ from sessionpi import (
     substitute,
     type_check,
 )
+from sessionpi.contexts import entry_of_type
 from sessionpi.gen import (
     gen_endpoint,
     gen_process,
@@ -53,6 +57,7 @@ from tests.helpers import (
     reference_str,
     reference_substitute,
     reference_tokenize,
+    reference_type_str,
     reference_validate,
     subprocesses,
 )
@@ -432,6 +437,35 @@ def test_parse_context_duplicate_name():
         parse_context("x : un end\nx : un end")
 
 
+def test_parse_context_parses_each_distinct_entry_text_once(monkeypatch):
+    built = []
+    init = _Parser.__init__
+
+    def counting(self, src, what):
+        built.append(src)
+        init(self, src, what)
+
+    monkeypatch.setattr(_Parser, "__init__", counting)
+    text = poll_context_text(300)
+    g = parse_context(text)
+    distinct = {line.partition(":")[2] for line in text.split("\n")}
+    assert len(distinct) == 4 and len(g) == 304
+    assert sorted(built) == sorted(distinct)
+    assert len({id(g.get(f"z{i}")) for i in range(1, 301)}) == 1
+
+
+def test_parse_context_error_after_repeated_lines_names_its_own_line():
+    good = "".join(f"x{i} : lin !(un end).un end\n" for i in range(100))
+    with pytest.raises(ParseError, match="found 'nd'") as err:
+        parse_context(good + "y : lin !(un end).un nd\n" + good.replace("x", "w"))
+    assert (err.value.line, err.value.column) == (101, 22)
+
+
+def test_parse_context_blanks_after_the_colon_give_one_entry():
+    g = parse_context("x : lin !(un end).un end\ny :lin !(un end).un end\nz :\t  lin !(un end).un end")
+    assert g.get("x") is g.get("y") is g.get("z")
+
+
 def test_pretty_zero():
     assert pretty(Zero()) == "0"
 
@@ -498,6 +532,27 @@ def test_printer_needs_no_recursion():
     assert render(chain, limit=61) == ("x!v." * 16)[:61]
     assert str(left) == "0" + " | x!v.0" * 10_000
     assert str(right) == "0 | (" * 9_999 + "0 | 0" + ")" * 9_999
+
+
+def test_type_printer_agrees_with_the_recursive_reference():
+    rng = random.Random(53)
+    for _ in range(2000):
+        t = gen_type(rng, depth=rng.randint(1, 4))
+        entry = entry_of_type(t)
+        voided = type(entry)(*(VOID if rng.random() < 0.3 else m for m in entry.slots))
+        for value, parse in ((t, parse_type), (entry, parse_entry), (voided, parse_entry)):
+            text = reference_type_str(value)
+            assert str(value) == pretty(value) == text
+            assert parse(text) is value
+
+
+def test_type_printer_needs_no_recursion():
+    # Built directly: the parser refuses input this deep.
+    nested = UN_END
+    for _ in range(10_000):
+        nested = Qualified(Qual.LIN, Send(nested, UN_END))
+    assert str(nested) == "lin !(" * 10_000 + "un end" + ").un end" * 10_000
+    assert str(Pair(VOID, nested)) == f"<◦, {nested}>"
 
 
 def test_free_vars():
