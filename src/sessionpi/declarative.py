@@ -1,17 +1,27 @@
 """Split-based derivability oracle.
 
 The declarative system distributes a context between the threads of a
-parallel composition instead of threading it: unrestricted entries are
-copied to both sides, linear entries go to exactly one side, and a pair of
-linear ends may be divided between the two sides.  Splits are duplicate-free
-by construction: each entry's options are pairwise distinct, so no two of
-their combinations coincide.  They are also directed by the names each side
-uses, as in the input/output resource management of linear-logic proof
-search (Hodas & Miller, Inf. & Comp. 110(2), 1994; Cervesato, Hodas &
-Pfenning, TCS 232, 2000).  A linear entry goes only to a side whose process
-has its name free, since no other side could consume it.  A side gets an
-entry for every name it has free, since each free occurrence is the channel
-or the argument of a prefix, whose rule needs the name typed.
+parallel composition, and between an output's value and its continuation,
+instead of threading it: unrestricted entries are copied to both sides,
+linear entries go to exactly one side, and a pair of linear ends may be
+divided between the two sides.  The search takes only the divisions
+directed by the names each side uses, as in the input/output resource
+management of linear-logic proof search (Hodas & Miller, Inf. & Comp.
+110(2), 1994; Cervesato, Hodas & Pfenning, TCS 232, 2000).  A linear entry
+goes only to a side whose process has its name free, since no other side
+could consume it.  A side gets an entry for every name it has free, since
+each free occurrence is the channel or the argument of a prefix, whose rule
+needs the name typed.  Each entry's options (``_entry_options``) are
+pairwise distinct, so no division repeats.
+
+In an output ``x!v.P`` the value side is the axiom ``v : T``, which takes
+an entry for ``v`` and unrestricted ones only.  So every entry but ``v``'s
+has one option, whole to the continuation, or none, when it is linear and
+``P`` does not name it, which refutes the output.  The search divides
+``v``'s entry alone and tests the value's type directly (``_value_fits``).
+``enumerate_splits`` lists every split of a context as the product of its
+entries' options; no search path calls it, and it is the exhaustive
+reference for the tests and the benchmark's tracer.
 
 A maximal ``|`` soup ``P1 | ... | Pn`` is split n ways at once, which
 derives what the nested binary splits derive.  Splits divide entries
@@ -172,9 +182,10 @@ def enumerate_splits(
 ) -> Iterator[Split]:
     """Divisions of ``i`` licensed by the splitting rules that give each side
     an entry for every name it uses and a linear entry for no other name
-    (``None``: every division, which is the exhaustive reference).  Entries
-    are divided independently and each one's options are distinct, so no
-    split repeats and none needs filtering."""
+    (``None``: every division).  Entries are divided independently and each
+    one's options are distinct, so no split repeats and none needs
+    filtering.  This is the exhaustive reference for the tests and the
+    tracer; the search divides entries itself (see the module docstring)."""
     if not len(i):
         yield Split(i, i)
         return
@@ -198,13 +209,19 @@ def enumerate_splits(
 
 
 def derivable_value(i: DeclContext, v: str, t: Type) -> bool:
-    """Can ``v : t`` be derived?  The axiom needs everything else unrestricted;
-    an endpoint goal may also strip an unrestricted partner end off a pair."""
+    """Can ``v : t`` be derived?  The axiom needs everything else unrestricted."""
     bound = i.get(v)
     if bound is None:
         return False
     if not all(is_un_type(u) for name, u in i.items() if name != v):
         return False
+    return _value_fits(bound, t)
+
+
+def _value_fits(bound: Type, t: Type) -> bool:
+    """Does an entry of type ``bound`` give a value of type ``t``?  An equal
+    type does; an endpoint goal may also strip an unrestricted partner end
+    off a pair."""
     if type_equal(bound, t):
         return True
     if is_endpoint(t) and isinstance(bound, ChanType):
@@ -266,14 +283,20 @@ class _Search:
                         return True
                 return False
             case Output(chan, arg, body):
-                for split in enumerate_splits(i, {arg}, free_vars(body) | {chan}):
-                    t = split.right.get(chan)
+                free = free_vars(body)
+                for name, t in i.items():
+                    if name != arg and name != chan and name not in free and not is_un_type(t):
+                        return False  # a linear entry that neither side can consume
+                bound = i.get(arg)
+                if bound is None:
+                    return False
+                for value, kept in _entry_options(bound, True, arg == chan or arg in free):
+                    rest = i.remove(arg) if kept is None else i.set(arg, kept)
+                    t = rest.get(chan)
                     if t is None:
                         continue
                     for t2, payload in _shapes(t, Send):
-                        if not derivable_value(split.left, arg, payload):
-                            continue
-                        if self.derivable(split.right.set(chan, t2), body):
+                        if _value_fits(value, payload) and self.derivable(rest.set(chan, t2), body):
                             return True
                 return False
         raise TypeError(f"not a process: {p!r}")

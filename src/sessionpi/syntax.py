@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Callable, NamedTuple, Optional, Union
 
 
@@ -54,13 +55,17 @@ class _Interned:
     types of any depth can be set members and dict keys).  Copying and
     pickling go back through the constructor.  A node prints through
     ``render_type``, which reads the pieces each class lists in
-    ``_pieces``.
+    ``_pieces``, and its ``repr`` is the dataclass one, ``Cls(field=...)``,
+    written by the same walk, so neither recurses.
     """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return render_type(self)
+
+    def __repr__(self) -> str:
+        return _spell(self, _repr_pieces)
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -82,9 +87,27 @@ def render_type(t: _Interned) -> str:
     """The concrete syntax of a type node or context entry.
 
     Each node class lists its pieces in order in ``_pieces``: text, and the
-    nodes it holds.  The walk keeps the pending pieces on an explicit
-    stack, as ``render`` does for processes, so depth costs no recursion.
+    nodes it holds.
     """
+    return _spell(t, methodcaller("_pieces"))
+
+
+def _repr_pieces(q: _Interned) -> list:
+    """The pieces of the dataclass ``repr`` of ``q``: field values that are
+    nodes stay nodes, the others are ``repr``-ed."""
+    pieces: list = [f"{type(q).__qualname__}("]
+    for k, name in enumerate(type(q).__match_args__):
+        value = getattr(q, name)
+        pieces.append(f"{', ' if k else ''}{name}=")
+        pieces.append(value if isinstance(value, _Interned) else repr(value))
+    pieces.append(")")
+    return pieces
+
+
+def _spell(t: _Interned, pieces: Callable) -> str:
+    """The text of ``t``, whose ``pieces`` are text and the nodes it holds.
+    The walk keeps the pending pieces on an explicit stack, as ``render``
+    does for processes, so depth costs no recursion."""
     out: list[str] = []
     stack: list = [t]
     pop, extend = stack.pop, stack.extend
@@ -93,13 +116,14 @@ def render_type(t: _Interned) -> str:
         if type(q) is str:
             out.append(q)
         else:
-            extend(reversed(q._pieces()))
+            extend(reversed(pieces(q)))
     return "".join(out)
 
 
 # ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
-# leaves construction to ``_Interned.__new__``.
-_interned_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+# leaves construction to ``_Interned.__new__``; ``repr=False`` keeps its
+# ``__repr__``.
+_interned_node = dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 
 
 def _memoized(fn: Callable) -> Callable:

@@ -8,6 +8,7 @@ from sessionpi import (
     Context,
     ContextAlgebraError,
     barendregt_rename,
+    declarative,
     entry_of_type,
     parse_context,
     parse_process,
@@ -33,7 +34,7 @@ from sessionpi.gen import (
     un_server,
 )
 from sessionpi.syntax import Qual, is_endpoint
-from tests.conftest import load_fixture
+from tests.conftest import fixture_names, load_fixture
 from tests.helpers import (
     count_fills,
     deep_inputs,
@@ -375,7 +376,10 @@ def test_pruned_splits_agree_with_exhaustive_search():
     generated, mixed = _generated_pairs(2_000)
     pairs += generated
     assert len(pairs) == 50_044 + 12_303 + 2_000 and mixed >= 100
-    pruned = [derivable(i, p).verdict for i, p in pairs]
+    results = [derivable(i, p) for i, p in pairs]
+    # The total pins the search order, not just the verdicts.
+    assert sum(r.spent for r in results) == 126_821
+    pruned = [r.verdict for r in results]
     reference = [reference_derivable(i, p).verdict for i, p in pairs]
     assert reference.count(Verdict.DERIVABLE) > 500
     assert Verdict.INCONCLUSIVE not in reference
@@ -405,14 +409,14 @@ SHAPES = {
 }
 
 
-@pytest.mark.parametrize(
-    "shape, spent",
-    [
-        ("star", [18, 34, 66, 130, 258]),
-        ("star_clients_first", [14, 26, 50, 98, 194]),
-        ("ring", [18, 38, 78, 158, 318]),
-    ],
-)
+STARS_AND_RINGS = [
+    ("star", [18, 34, 66, 130, 258]),
+    ("star_clients_first", [14, 26, 50, 98, 194]),
+    ("ring", [18, 38, 78, 158, 318]),
+]
+
+
+@pytest.mark.parametrize("shape, spent", STARS_AND_RINGS)
 def test_stars_and_rings_spend_pinned_node_counts(shape, spent):
     # A soup is searched one name at a time, and each thread is decided
     # once its names are placed, so a wrong option is refuted by its one
@@ -426,6 +430,35 @@ def test_stars_and_rings_spend_pinned_node_counts(shape, spent):
         assert res.verdict is Verdict.DERIVABLE
         got.append(res.spent)
     assert got == spent
+
+
+def test_the_search_enumerates_no_splits(monkeypatch):
+    # The Output rule divides its argument's entry only, and a soup spreads
+    # each name over its users: the exhaustive enumerator is a reference,
+    # which no search path calls.  The poll, star and ring node counts are
+    # those pinned above.
+    def no_splits(*args):
+        raise AssertionError("the search enumerated splits")
+
+    monkeypatch.setattr(declarative, "enumerate_splits", no_splits)
+    assert _poll_spent(range(1, 7)) == [16, 16, 19, 19, 21, 21, 23, 23, 25, 25, 27, 27]
+    spent = {}
+    for name in fixture_names():
+        ctx, p, expected = load_fixture(name)
+        res = derivable(to_decl_context(ctx), barendregt_rename(p, avoid=ctx.names()))
+        assert res.verdict.value == expected["oracle"], name
+        spent[name] = res.spent
+    assert spent == {
+        "lin_then_un_misuse": 1,
+        "ping": 7,
+        "poll": 19,
+        "poll_swapped": 19,
+        "unrestricted_channel": 5,
+        "witness_input_then_output": 3,
+        "witness_self_delegation": 2,
+    }
+    for shape, pinned in STARS_AND_RINGS:
+        test_stars_and_rings_spend_pinned_node_counts(shape, pinned)
 
 
 @pytest.mark.parametrize("name", sorted(deep_inputs()))

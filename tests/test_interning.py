@@ -53,6 +53,27 @@ def test_deep_types_hash_and_compare_without_recursion():
     assert first is second
 
 
+def test_repr_of_a_deep_context_needs_no_recursion():
+    g = parse_context("x : " + "un !(" * 300 + "un end" + ").un end" * 300)
+    text = repr(g)
+    assert text.startswith("Context({'x': Single(item=Qualified(qual=<Qual.UN: 'un'>, pre=Send(")
+    assert text.count("Send(") == 300
+    assert repr(_deep_send_chain(10_000)).count("Send(") == 10_000
+
+
+def test_repr_of_an_entry_is_the_dataclass_text():
+    e = parse_entry("<lin !(un end).rec a. un ?(un end).a, void>")
+    end = "Qualified(qual=<Qual.UN: 'un'>, pre=End())"
+    assert repr(e) == (
+        f"Pair(left=Qualified(qual=<Qual.LIN: 'lin'>, pre=Send(payload={end}, cont="
+        f"Rec(var='a', body=Qualified(qual=<Qual.UN: 'un'>, pre=Recv(payload={end}, "
+        "cont=TypeVar(name='a')))))), right=Void())"
+    )
+    assert repr(parse_entry("lin !(un end).un end")) == (
+        f"Single(item=Qualified(qual=<Qual.LIN: 'lin'>, pre=Send(payload={end}, cont={end})))"
+    )
+
+
 def test_parsing_the_same_text_twice_gives_one_object():
     text = "<rec a. lin ?(un end).a, rec b. lin !(un end).b>"
     assert parse_type(text) is parse_type(text)
