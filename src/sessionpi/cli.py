@@ -34,6 +34,7 @@ from .contexts import (
 from .declarative import Verdict, derivable
 from .parser import ParseError, parse_context, parse_process
 from .semantics import congruence_steps, reduce_trace_labeled
+from .syntax import render
 from .table import evaluate_table, expected_rows
 
 
@@ -128,7 +129,7 @@ def cmd_congruence(args) -> tuple[dict, int]:
     divergence = None
     for iteration in range(args.iterations):
         steps = congruence_steps(current)
-        if len(str(current)) > size_cap:
+        if len(render(current, limit=size_cap + 1)) > size_cap:
             trimmed = [
                 s for s in steps if not (s.rule == "par-unit" and s.direction == "RL")
                 and not (s.rule == "repl-unfold" and s.direction == "LR")

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Union
 
 from .equality import head_qual, is_un_end, type_equal, unfold
 from .syntax import ChanType, Endpoint, Qual, Recv, Send, Type, UN_END
-from .syntax import _Interned, _interned_node, _memoized, render_type
+from .syntax import _Interned, _interned_node, _memoized, render
 
 
 @_interned_node
@@ -288,7 +288,7 @@ DeclContext = Context
 def _entry_text(e: Entry) -> str:
     """The text of ``e``, printed once per entry: a traced run prints the
     same entries in the contexts of all its steps."""
-    return render_type(e)
+    return render(e)
 
 
 def context_file_text(g: Context) -> str:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from operator import methodcaller
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 
@@ -54,15 +53,15 @@ class _Interned:
     therefore identity, and ``hash`` is identity-based (neither recurses, so
     types of any depth can be set members and dict keys).  Copying and
     pickling go back through the constructor.  A node prints through
-    ``render_type``, which reads the pieces each class lists in
-    ``_pieces``, and its ``repr`` is the dataclass one, ``Cls(field=...)``,
-    written by the same walk, so neither recurses.
+    ``render``, which reads the pieces each class lists in ``_pieces``, and
+    its ``repr`` is the dataclass one, ``Cls(field=...)``, written by the
+    same walk, so neither recurses.
     """
 
     __slots__ = ()
 
     def __str__(self) -> str:
-        return render_type(self)
+        return render(self)
 
     def __repr__(self) -> str:
         return _spell(self, _repr_pieces)
@@ -81,43 +80,6 @@ class _Interned:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-
-def render_type(t: _Interned) -> str:
-    """The concrete syntax of a type node or context entry.
-
-    Each node class lists its pieces in order in ``_pieces``: text, and the
-    nodes it holds.
-    """
-    return _spell(t, methodcaller("_pieces"))
-
-
-def _repr_pieces(q: _Interned) -> list:
-    """The pieces of the dataclass ``repr`` of ``q``: field values that are
-    nodes stay nodes, the others are ``repr``-ed."""
-    pieces: list = [f"{type(q).__qualname__}("]
-    for k, name in enumerate(type(q).__match_args__):
-        value = getattr(q, name)
-        pieces.append(f"{', ' if k else ''}{name}=")
-        pieces.append(value if isinstance(value, _Interned) else repr(value))
-    pieces.append(")")
-    return pieces
-
-
-def _spell(t: _Interned, pieces: Callable) -> str:
-    """The text of ``t``, whose ``pieces`` are text and the nodes it holds.
-    The walk keeps the pending pieces on an explicit stack, as ``render``
-    does for processes, so depth costs no recursion."""
-    out: list[str] = []
-    stack: list = [t]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        q = pop()
-        if type(q) is str:
-            out.append(q)
-        else:
-            extend(reversed(pieces(q)))
-    return "".join(out)
 
 
 # ``eq=False`` keeps the identity ``==``/``hash`` of ``object``; ``init=False``
@@ -246,7 +208,8 @@ Pos = tuple  # (line, column), recorded for diagnostics only
 class _Node:
     """Base of the process nodes: they print in concrete syntax, and own
     their hash and free names, which ``_fill`` sets on first use rather than
-    at construction.  ``==`` and ``hash`` ignore ``pos``; neither recurses.
+    at construction.  ``==`` and ``hash`` ignore ``pos``.  Printing is as
+    for type nodes (see ``_Interned``).  None of these recurses.
     """
 
     _hash: Optional[int] = None
@@ -254,6 +217,9 @@ class _Node:
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        return _spell(self, _repr_pieces)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -286,25 +252,49 @@ class _Node:
         return {k: v for k, v in vars(self).items() if k not in ("_hash", "_free")}
 
 
-@dataclass(frozen=True, eq=False)
+# ``eq=False`` keeps ``_Node``'s ``==`` and ``hash``; ``repr=False`` its ``__repr__``.
+_process_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+def _factor(head: str, body: "Process") -> tuple:
+    """The pieces ``head`` then ``body``, which is parenthesised if it is a
+    parallel: ``|`` is the loosest operator and associates to the left.  A
+    body ``0`` joins the head's text, which spares the walk a node."""
+    cls = type(body)
+    if cls is Zero:
+        return (head + "0",)
+    return (head + "(", body, ")") if cls is Par else (head, body)
+
+
+@_process_node
 class Zero(_Node):
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:
+        return ("0",)
 
-@dataclass(frozen=True, eq=False)
+
+@_process_node
 class Par(_Node):
     left: "Process"
     right: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:  # ``_factor``'s rule inlined: traces print long spines
+        right = self.right
+        return (self.left, " | (", right, ")") if type(right) is Par else (self.left, " | ", right)
 
-@dataclass(frozen=True, eq=False)
+
+@_process_node
 class Repl(_Node):
     body: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:
+        return _factor("!", self.body)
 
-@dataclass(frozen=True, eq=False)
+
+@_process_node
 class Output(_Node):
     """``chan!arg.cont``: send the variable ``arg`` on ``chan``."""
 
@@ -313,8 +303,14 @@ class Output(_Node):
     cont: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:  # ``_factor`` inlined: traces print long output chains
+        head, cont = f"{self.chan}!{self.arg}.", self.cont
+        if type(cont) is Zero:
+            return (head + "0",)
+        return (head + "(", cont, ")") if type(cont) is Par else (head, cont)
 
-@dataclass(frozen=True, eq=False)
+
+@_process_node
 class Input(_Node):
     """``chan?(binder).cont``: receive on ``chan``, binding ``binder`` in ``cont``."""
 
@@ -323,8 +319,11 @@ class Input(_Node):
     cont: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:
+        return _factor(f"{self.chan}?({self.binder}).", self.cont)
 
-@dataclass(frozen=True, eq=False)
+
+@_process_node
 class New(_Node):
     """``new binder: annot. cont``: restriction with a type annotation."""
 
@@ -333,62 +332,58 @@ class New(_Node):
     cont: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
+    def _pieces(self) -> tuple:
+        return (f"new {self.binder}: ", self.annot, *_factor(". ", self.cont))
+
 
 Process = Union[Zero, Par, Repl, Output, Input, New]
 
 
-def render(p: Process, limit: Optional[int] = None) -> str:
-    """The concrete syntax of ``p``, or only its first ``limit`` characters.
+# ---------------------------------------------------------------------------
+# Printing
+# ---------------------------------------------------------------------------
 
-    ``|`` is the loosest operator and associates to the left, so a parallel
-    is parenthesised as the right operand of ``|`` and as a continuation or
-    replication body.  The walk keeps its pending pieces on an explicit
-    stack, text and subterms alike, so depth costs no recursion.
-    """
+def render(node: Union[Process, _Interned], limit: Optional[int] = None) -> str:
+    """The concrete syntax of a process, type or context entry, or only its
+    first ``limit`` characters.  Each node class lists its pieces in order
+    in ``_pieces``: text, and the nodes it holds, a parallel operand or body
+    parenthesised where the grammar needs it (``_factor``)."""
+    return _spell(node, limit=limit)
+
+
+def _repr_pieces(q: Union[_Node, _Interned]) -> list:
+    """The pieces of the dataclass ``repr`` of ``q``: the fields it shows
+    (not ``pos``), where a node stays a node and any other value is
+    ``repr``-ed."""
+    pieces: list = [f"{type(q).__qualname__}("]
+    for k, name in enumerate(f.name for f in fields(q) if f.repr):
+        value = getattr(q, name)
+        pieces.append(f"{', ' if k else ''}{name}=")
+        pieces.append(value if isinstance(value, (_Node, _Interned)) else repr(value))
+    pieces.append(")")
+    return pieces
+
+
+def _spell(node, pieces: Optional[Callable] = None, limit: Optional[int] = None) -> str:
+    """The text of ``node``, or its first ``limit`` characters: the one walk
+    that prints.  ``pieces(q)`` gives the text and nodes of each node ``q``,
+    by default its ``_pieces()`` (called here: ``methodcaller`` costs 3x).
+    Pending pieces wait on an explicit stack, so depth costs no recursion."""
     out: list[str] = []
     size = 0
-    stack: list = [p]
-    push = stack.append
+    stack: list = [node]
+    pop, extend = stack.pop, stack.extend
     while stack:
-        q = stack.pop()
-        cls = type(q)
-        if cls is str:
-            out.append(q)
+        q = pop()
+        while type(q) is not str:
+            spelled = q._pieces() if pieces is None else pieces(q)
+            extend(spelled[:0:-1])
+            q = spelled[0]
+        out.append(q)
+        if limit is not None:
             size += len(q)
-            if limit is not None and size >= limit:
+            if size >= limit:
                 break
-            continue
-        if cls is Par:
-            if type(q.right) is Par:
-                push(")")
-                push(q.right)
-                push(" | (")
-            else:
-                push(q.right)
-                push(" | ")
-            push(q.left)
-            continue
-        if cls is Zero:
-            out.append("0")
-            size += 1
-            continue
-        if cls is Output:
-            head, body = f"{q.chan}!{q.arg}.", q.cont
-        elif cls is Input:
-            head, body = f"{q.chan}?({q.binder}).", q.cont
-        elif cls is New:
-            head, body = f"new {q.binder}: {q.annot}. ", q.cont
-        elif cls is Repl:
-            head, body = "!", q.body
-        else:
-            raise TypeError(f"not a process: {q!r}")
-        if type(body) is Par:
-            push(")")
-            push(body)
-            push(head + "(")
-        else:
-            push(body)
-            push(head)
     text = "".join(out)
     return text if limit is None else text[:limit]
 

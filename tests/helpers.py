@@ -568,7 +568,7 @@ def reference_str(p) -> str:
 
 def reference_type_str(t) -> str:
     """Type or entry text, one recursive call per node: the reference that
-    the explicit-stack ``syntax.render_type`` must match."""
+    the explicit-stack ``syntax.render`` must match."""
     match t:
         case Recv(payload, cont):
             return f"?({reference_type_str(payload)}).{reference_type_str(cont)}"

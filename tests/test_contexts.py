@@ -318,8 +318,8 @@ def test_a_context_prints_each_entry_once(monkeypatch):
     import sessionpi.contexts as contexts
 
     printed = []
-    render_type = contexts.render_type
-    monkeypatch.setattr(contexts, "render_type", lambda e: printed.append(e) or render_type(e))
+    render = contexts.render
+    monkeypatch.setattr(contexts, "render", lambda e: printed.append(e) or render(e))
     entry = Single(parse_type("rec printed_once. lin !(un end).printed_once"))
     g = Context((f"x{i}", entry) for i in range(50))
     text = "rec printed_once. lin !(un end).printed_once"

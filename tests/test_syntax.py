@@ -534,6 +534,44 @@ def test_printer_needs_no_recursion():
     assert str(right) == "0 | (" * 9_999 + "0 | 0" + ")" * 9_999
 
 
+def _printed(show, p) -> str:
+    """``show(p)``; a ``RecursionError`` fails the test with a short report.
+    The failure is raised outside the handler, since reporting the error
+    itself would compare the locals of its thousand frames, each holding a
+    deep term."""
+    try:
+        return show(p)
+    except RecursionError:
+        pass
+    pytest.fail(f"{show.__name__} recursed", pytrace=False)
+
+
+def test_repr_and_str_of_deep_processes_need_no_recursion():
+    # Built directly: the parser refuses input this deep.
+    chain, left = Zero(), Zero()
+    for _ in range(10_000):
+        chain = Output("x", "v", chain)
+        left = Par(left, Zero())
+    assert _printed(str, chain) == "x!v." * 10_000 + "0"
+    assert _printed(repr, chain) == (
+        "Output(chan='x', arg='v', cont=" * 10_000 + "Zero()" + ")" * 10_000
+    )
+    assert _printed(str, left) == "0" + " | 0" * 10_000
+    assert _printed(repr, left) == "Par(left=" * 10_000 + "Zero()" + ", right=Zero())" * 10_000
+
+
+def test_repr_of_a_process_is_the_dataclass_text():
+    end = "Qualified(qual=<Qual.UN: 'un'>, pre=End())"
+    assert repr(parse_process("x?(y).!0")) == "Input(chan='x', binder='y', cont=Repl(body=Zero()))"
+    assert repr(Par(Zero(), Output("x", "v", Zero()), pos=(3, 7))) == (
+        "Par(left=Zero(), right=Output(chan='x', arg='v', cont=Zero()))"
+    )
+    assert repr(parse_process("new p: <un end, lin !(un end).un end>. p!v.0")) == (
+        f"New(binder='p', annot=ChanType(left={end}, right=Qualified(qual=<Qual.LIN: 'lin'>, "
+        f"pre=Send(payload={end}, cont={end}))), cont=Output(chan='p', arg='v', cont=Zero()))"
+    )
+
+
 def test_type_printer_agrees_with_the_recursive_reference():
     rng = random.Random(53)
     for _ in range(2000):
