@@ -280,9 +280,8 @@ class Par(_Node):
     right: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
-    def _pieces(self) -> tuple:  # ``_factor``'s rule inlined: traces print long spines
-        right = self.right
-        return (self.left, " | (", right, ")") if type(right) is Par else (self.left, " | ", right)
+    def _pieces(self) -> tuple:
+        return (self.left,) + _factor(" | ", self.right)
 
 
 @_process_node
@@ -303,11 +302,8 @@ class Output(_Node):
     cont: "Process"
     pos: Optional[Pos] = field(default=None, repr=False)
 
-    def _pieces(self) -> tuple:  # ``_factor`` inlined: traces print long output chains
-        head, cont = f"{self.chan}!{self.arg}.", self.cont
-        if type(cont) is Zero:
-            return (head + "0",)
-        return (head + "(", cont, ")") if type(cont) is Par else (head, cont)
+    def _pieces(self) -> tuple:
+        return _factor(f"{self.chan}!{self.arg}.", self.cont)
 
 
 @_process_node
@@ -367,8 +363,8 @@ def _repr_pieces(q: Union[_Node, _Interned]) -> list:
 def _spell(node, pieces: Optional[Callable] = None, limit: Optional[int] = None) -> str:
     """The text of ``node``, or its first ``limit`` characters: the one walk
     that prints.  ``pieces(q)`` gives the text and nodes of each node ``q``,
-    by default its ``_pieces()`` (called here: ``methodcaller`` costs 3x).
-    Pending pieces wait on an explicit stack, so depth costs no recursion."""
+    by default its ``_pieces()``.  Pending pieces wait on an explicit stack,
+    so depth costs no recursion."""
     out: list[str] = []
     size = 0
     stack: list = [node]
@@ -377,7 +373,8 @@ def _spell(node, pieces: Optional[Callable] = None, limit: Optional[int] = None)
         q = pop()
         while type(q) is not str:
             spelled = q._pieces() if pieces is None else pieces(q)
-            extend(spelled[:0:-1])
+            if len(spelled) > 1:
+                extend(spelled[:0:-1])
             q = spelled[0]
         out.append(q)
         if limit is not None:

@@ -521,19 +521,6 @@ def test_printer_agrees_with_the_recursive_reference(fixture_dir):
             assert render(p, limit) == text[:limit]
 
 
-def test_printer_needs_no_recursion():
-    # Built directly: the parser refuses input this deep.
-    chain, left, right = Zero(), Zero(), Zero()
-    for _ in range(10_000):
-        chain = Output("x", "v", chain)
-        left = Par(left, Output("x", "v", Zero()))
-        right = Par(Zero(), right)
-    assert str(chain) == "x!v." * 10_000 + "0"
-    assert render(chain, limit=61) == ("x!v." * 16)[:61]
-    assert str(left) == "0" + " | x!v.0" * 10_000
-    assert str(right) == "0 | (" * 9_999 + "0 | 0" + ")" * 9_999
-
-
 def _printed(show, p) -> str:
     """``show(p)``; a ``RecursionError`` fails the test with a short report.
     The failure is raised outside the handler, since reporting the error
@@ -546,18 +533,24 @@ def _printed(show, p) -> str:
     pytest.fail(f"{show.__name__} recursed", pytrace=False)
 
 
-def test_repr_and_str_of_deep_processes_need_no_recursion():
+def test_printer_needs_no_recursion():
     # Built directly: the parser refuses input this deep.
-    chain, left = Zero(), Zero()
+    chain, left, right = Zero(), Zero(), Zero()
     for _ in range(10_000):
         chain = Output("x", "v", chain)
-        left = Par(left, Zero())
-    assert _printed(str, chain) == "x!v." * 10_000 + "0"
+        left = Par(left, Output("x", "v", Zero()))
+        right = Par(Zero(), right)
+    assert str(chain) == "x!v." * 10_000 + "0"
+    assert render(chain, limit=61) == ("x!v." * 16)[:61]
+    assert str(left) == "0" + " | x!v.0" * 10_000
+    assert str(right) == "0 | (" * 9_999 + "0 | 0" + ")" * 9_999
     assert _printed(repr, chain) == (
         "Output(chan='x', arg='v', cont=" * 10_000 + "Zero()" + ")" * 10_000
     )
-    assert _printed(str, left) == "0" + " | 0" * 10_000
-    assert _printed(repr, left) == "Par(left=" * 10_000 + "Zero()" + ", right=Zero())" * 10_000
+    assert _printed(repr, left) == (
+        "Par(left=" * 10_000 + "Zero()"
+        + ", right=Output(chan='x', arg='v', cont=Zero()))" * 10_000
+    )
 
 
 def test_repr_of_a_process_is_the_dataclass_text():
