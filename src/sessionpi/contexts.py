@@ -23,11 +23,22 @@ binary ones, of the entry of the same name and shape in the other context).
 * ``update_context`` (``⊎``) — combination filling void slots, defined only
   when no linear capability would be duplicated.
 
+A ``Context`` holds its entries over an index of its names (``_Index``)
+shared by the contexts derived from it.  Over at most 32 names the entries
+are one tuple; over more they are 32-wide chunks, so that a rule step
+copies one chunk and a short spine rather than every entry, and contexts
+derived from one another share the chunks they did not change.  Bulk
+operations read a deep context's entries in one run (``_flat``) and cut
+their result into chunks again (``_chunked``).  Each tests ``deep`` itself
+and uses a flat context's tuple as it is: on two names, a call to a helper
+would cost an operation a tenth of its time.
+
 Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from functools import partial
 from typing import Iterable, Iterator, Union
@@ -106,29 +117,43 @@ def entry_equal(e1: Entry, e2: Entry) -> bool:
     return type(e1) is type(e2) and all(map(item_equal, e1.slots, e2.slots))
 
 
+# Entries per chunk of a deep context (see ``_Index``).
+_SHIFT = 5
+_WIDTH = 1 << _SHIFT
+_MASK = _WIDTH - 1
+
+
 class _Index:
     """The names of a context in order, each with its position.
 
     Contexts over the same names in the same order share one index, and
-    each holds only a tuple of entries, one per name.  The indexes that
-    ``add``, ``remove`` and ``subcontext`` derive are kept on the index
-    they come from, so a run that binds and drops the same names reuses
-    them.  An index made by adding a name copies the positions of the index
-    it came from and adds the one new name, so a binder costs one dict copy,
-    not a rebuild from all the names.  It answers the removal of that name
-    with the index it came from, which it refers to weakly: no index keeps
-    the one it came from alive, so a family of indexes is freed with the
-    last context over it, without the garbage collector.  There is no table
-    of all indexes.
+    each holds only its entries, one per name, in the layout the index
+    names.  An index over at most ``_WIDTH`` (32) names is flat: its
+    contexts hold a tuple of entries.  A larger one is ``deep``: its
+    contexts hold a tuple of chunks, each a tuple of ``_WIDTH`` entries
+    but the last, which holds the rest, so the entry at position ``k`` is
+    ``chunks[k >> 5][k & 31]``.  The layout thus depends on the names
+    alone, and two contexts over one index share it.
+
+    The indexes that ``add``, ``remove`` and ``subcontext`` derive are kept
+    on the index they come from, so a run that binds and drops the same
+    names reuses them.  An index made by adding a name copies the positions
+    of the index it came from and adds the one new name, so a binder costs
+    one dict copy, not a rebuild from all the names.  It answers the
+    removal of that name with the index it came from, which it refers to
+    weakly: no index keeps the one it came from alive, so a family of
+    indexes is freed with the last context over it, without the garbage
+    collector.  There is no table of all indexes.
     """
 
-    __slots__ = ("names", "positions", "_plus", "_minus", "_subs", "_origin", "__weakref__")
+    __slots__ = ("names", "positions", "deep", "_plus", "_minus", "_subs", "_origin", "__weakref__")
 
     def __init__(self, names: tuple[str, ...], positions: dict[str, int] | None = None):
         self.names = names
         if positions is None:
             positions = dict(zip(names, range(len(names))))
         self.positions = positions
+        self.deep = len(names) > _WIDTH
         self._plus: dict[str, _Index] | None = None
         self._minus: dict[str, _Index] | None = None
         self._subs: dict[tuple[str, ...], _Index] | None = None
@@ -174,11 +199,17 @@ class _Index:
 class Context:
     """Immutable finite map from names to entries.
 
-    A context is a tuple of entries over an index from names to positions
-    (``_Index``), which it shares with the contexts it derives: ``set``
-    copies the tuple and keeps the index, so a context costs one pointer
-    per name.  ``items`` runs in insertion order; ``==`` and ``hash`` do
-    not depend on the order.
+    A context is its entries over an index from names to positions
+    (``_Index``), which it shares with the contexts it derives.  Over at
+    most 32 names the entries are one tuple, and ``set`` copies it.  Over
+    more they are 32-wide chunks (a persistent vector of height one, after
+    Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
+    persistent", JCSS 1989, and Bagwell, "Ideal Hash Trees", 2001):
+    ``set`` copies one chunk and the spine of ``n / 32`` chunk pointers,
+    ``add`` and ``remove`` of the last name copy the last chunk and the
+    spine, and a derived context shares every chunk it did not change.
+    ``items`` runs in insertion order; ``==`` and ``hash`` do not depend
+    on the order.
 
     The derivability oracle uses the same map from names to void-free
     types (``DeclContext``); it needs ``canonical`` and ``__hash__``.
@@ -189,15 +220,21 @@ class Context:
     def __init__(self, entries: Iterable[tuple[str, Entry]] = ()):
         table = dict(entries)
         self._index = _Index(tuple(table))
-        self._entries = tuple(table.values())
+        entries = tuple(table.values())
+        self._entries = _chunked(entries) if self._index.deep else entries
 
     def __reduce__(self):
         # Copies and pickles rebuild the index, not the family it is in.
         return Context, (list(self.items()),)
 
     def get(self, name: str) -> Entry | None:
-        k = self._index.positions.get(name)
-        return None if k is None else self._entries[k]
+        index = self._index
+        k = index.positions.get(name)
+        if k is None:
+            return None
+        if index.deep:
+            return self._entries[k >> _SHIFT][k & _MASK]
+        return self._entries[k]
 
     def __contains__(self, name: str) -> bool:
         return name in self._index.positions
@@ -206,34 +243,66 @@ class Context:
         return frozenset(self._index.names)
 
     def items(self) -> Iterator[tuple[str, Entry]]:
-        return zip(self._index.names, self._entries)
+        return zip(self._index.names, _flat(self) if self._index.deep else self._entries)
 
     def set(self, name: str, entry: Entry) -> "Context":
+        index = self._index
+        k = index.positions[name]
+        if index.deep:
+            chunks = list(self._entries)
+            chunk = list(chunks[k >> _SHIFT])
+            chunk[k & _MASK] = entry
+            chunks[k >> _SHIFT] = tuple(chunk)
+            return _context(index, tuple(chunks))
         entries = list(self._entries)
-        entries[self._index.positions[name]] = entry
-        return _context(self._index, tuple(entries))
+        entries[k] = entry
+        return _context(index, tuple(entries))
 
     def add(self, name: str, entry: Entry) -> "Context":
         if name in self._index.positions:
             raise KeyError(f"{name} already bound")
-        return _context(self._index.plus(name), self._entries + (entry,))
+        index = self._index.plus(name)
+        entries = self._entries
+        if not index.deep:
+            return _context(index, entries + (entry,))
+        if not self._index.deep:
+            return _context(index, (entries, (entry,)))  # 32 names: the first chunk
+        if len(entries[-1]) < _WIDTH:
+            return _context(index, entries[:-1] + (entries[-1] + (entry,),))
+        return _context(index, entries + ((entry,),))
 
     def remove(self, name: str) -> "Context":
         k = self._index.positions[name]
-        return _context(self._index.minus(name), self._entries[:k] + self._entries[k + 1 :])
+        index = self._index.minus(name)
+        entries = self._entries
+        if not self._index.deep:
+            return _context(index, entries[:k] + entries[k + 1 :])
+        # The chunks before the one holding ``name`` are kept; the entries
+        # after it move down one place.
+        c = k >> _SHIFT
+        last = c == len(entries) - 1
+        rest = entries[c] if last else tuple(itertools.chain.from_iterable(entries[c:]))
+        k &= _MASK
+        rest = rest[:k] + rest[k + 1 :]
+        if not index.deep:
+            return _context(index, entries[0] if c else rest)
+        if last:
+            return _context(index, entries[:c] + (rest,) if rest else entries[:c])
+        return _context(index, entries[:c] + _chunked(rest))
 
     def with_entries(self, entries: Iterable[Entry]) -> "Context":
         """The context over the same names, in the same order, holding
         ``entries`` (one per name)."""
         entries = tuple(entries)
-        if len(entries) != len(self._entries):
-            raise ValueError(f"{len(entries)} entries for {len(self._entries)} names")
-        return _context(self._index, entries)
+        if len(entries) != len(self):
+            raise ValueError(f"{len(entries)} entries for {len(self)} names")
+        return _context(self._index, _chunked(entries) if self._index.deep else entries)
 
     def subcontext(self, names: tuple[str, ...], entries: tuple) -> "Context":
         """The context of ``names``, some of this one's, holding ``entries``;
         callers that list the same names in the same order share one index."""
-        return _context(self._index.sub(names), entries)
+        index = self._index.sub(names)
+        return _context(index, _chunked(entries) if index.deep else entries)
 
     def canonical(self) -> tuple:
         """Hashable, order-independent form, for memo tables."""
@@ -243,12 +312,12 @@ class Context:
         if not isinstance(other, Context):
             return False
         if self._index is other._index:
+            # Chunk tuples compare the chunks two contexts share by identity.
             return self._entries == other._entries
-        if len(self._entries) != len(other._entries):
+        if len(self) != len(other):
             return False
         for name, entry in self.items():
-            k = other._index.positions.get(name)
-            if k is None or other._entries[k] != entry:
+            if other.get(name) != entry:
                 return False
         return True
 
@@ -256,7 +325,7 @@ class Context:
         return hash(self.canonical())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index.names)
 
     def __str__(self) -> str:
         return ", ".join(f"{name}: {_entry_text(entry)}" for name, entry in self.items()) or "∅"
@@ -266,15 +335,34 @@ class Context:
 
 
 def _context(index: _Index, entries: tuple) -> Context:
-    """The context of ``entries`` over ``index``."""
+    """The context over ``index`` whose entries, in the index's layout,
+    are ``entries``."""
     g = object.__new__(Context)
     g._index = index
     g._entries = entries
     return g
 
 
+def _chunked(entries: tuple) -> tuple:
+    """``entries`` cut into ``_WIDTH``-wide chunks."""
+    return tuple(entries[k : k + _WIDTH] for k in range(0, len(entries), _WIDTH))
+
+
+def _flat(g: Context) -> Iterable[Entry]:
+    """The entries of ``g`` in order."""
+    if g._index.deep:
+        return itertools.chain.from_iterable(g._entries)
+    return g._entries
+
+
 def context_equal(g1: Context, g2: Context) -> bool:
     """Entrywise equality up to equi-recursive type equality."""
+    if g1._index is g2._index:
+        if not g1._index.deep:
+            return all(map(entry_equal, g1._entries, g2._entries))
+        return all(
+            c1 is c2 or all(map(entry_equal, c1, c2)) for c1, c2 in zip(g1._entries, g2._entries)
+        )
     if g1.names() != g2.names():
         return False
     return all(entry_equal(e, g2.get(name)) for name, e in g1.items())
@@ -365,7 +453,7 @@ def _safe_chan(t: ChanType, assumed: frozenset) -> bool:
 
 
 def is_safe_context(g: Context) -> bool:
-    return all(map(is_safe_entry, g._entries))
+    return all(map(is_safe_entry, _flat(g) if g._index.deep else g._entries))
 
 
 def is_un_item(m: Item) -> bool:
@@ -380,7 +468,7 @@ def is_un_entry(e: Entry) -> bool:
 
 
 def is_un_context(g: Context) -> bool:
-    return all(map(is_un_entry, g._entries))
+    return all(map(is_un_entry, _flat(g) if g._index.deep else g._entries))
 
 
 def is_un_type(t: Type) -> bool:
@@ -446,13 +534,15 @@ def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
     """Combine two contexts of equal domain entry by entry with ``op``; over
     one index the entries pair up by position."""
     index = g1._index
+    deep = index.deep
     if index is g2._index:
-        others = g2._entries
+        others = _flat(g2) if deep else g2._entries
     elif g1.names() != g2.names():
         raise ContextAlgebraError(f"{what} needs contexts with equal domains")
     else:
         others = map(g2.get, index.names)
-    return _context(index, tuple(map(partial(_combine, op), index.names, g1._entries, others)))
+    entries = tuple(map(partial(_combine, op), index.names, _flat(g1) if deep else g1._entries, others))
+    return _context(index, _chunked(entries) if deep else entries)
 
 
 @_memoized
@@ -479,7 +569,10 @@ def _used_entry(e: Entry) -> Type:
 
 def used_map(g: Context) -> DeclContext:
     """Project a context to a declarative one; consumed slots become ``un end``."""
-    return _context(g._index, tuple(map(_used_entry, g._entries)))
+    index = g._index
+    if index.deep:
+        return _context(index, tuple(tuple(map(_used_entry, chunk)) for chunk in g._entries))
+    return _context(index, tuple(map(_used_entry, g._entries)))
 
 
 def _nabla_item(m: Item) -> Item:
@@ -490,7 +583,7 @@ def _nabla_item(m: Item) -> Item:
 
 def nabla(g: Context) -> Context:
     """The fully-consumed shape of ``g``: every linear slot set to ◦."""
-    return g.with_entries(_slotwise(_nabla_item, e) for e in g._entries)
+    return g.with_entries(_slotwise(_nabla_item, e) for e in _flat(g))
 
 
 def _update_item(m1: Item, m2: Item) -> Item:

@@ -518,10 +518,16 @@ def test_deep_inputs_check_with_the_trace_on(name):
     assert result.trace[0].subject == str(result.process)
 
 
+def test_traced_poll_system_300_has_a_pinned_length():
+    g, p = poll_system(300)
+    result = type_check(g, p)
+    assert result.accepted and len(result.trace) == 1219
+
+
 def test_traced_poll_system_keeps_little_memory():
-    # Contexts along a trace share their name index, and steps keep their
-    # subjects as nodes: the result holds about one pointer per name and
-    # step.
+    # Contexts along a trace share their name index and every chunk of
+    # entries a step did not change, and steps keep their subjects as
+    # nodes: a step over n names holds about 32 + n / 32 new pointers.
     ctx_text, proc_text = deep_inputs()["poll"]
     g, p = parse_context(ctx_text), parse_process(proc_text)
     gc.collect()

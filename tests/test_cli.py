@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from sessionpi import parse_context, parse_process, type_check
 from sessionpi.cli import main
+from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
 from tests.conftest import FIXTURES, fixture_names
 from tests.helpers import deep_inputs
 
@@ -114,6 +116,42 @@ def test_check_trace_audit_json_matches_golden(capsys):
         del report["timing_ms"]
         assert code == want["exit_code"], name
         assert report == want["report"], name
+
+
+def _large_context_inputs():
+    """Inputs whose contexts hold more than 32 names: ``poll_system(40)``,
+    and a chain of 100 receives whose binders each add a name."""
+    chain = "".join(f"c?(y{k})." for k in range(1, 101)) + "0"
+    return {
+        "poll_system_40": (poll_context_text(40), f"{poll_service_text()} | {poll_client_text(40)}"),
+        "receive_chain_100": ("c : rec a. un ?(un end).a", chain),
+    }
+
+
+# The exit code and the sha256 of the report without ``timing_ms``, written
+# by ``json.dumps(report, sort_keys=True, ensure_ascii=False)``.  They pin
+# the contexts of every trace step, the residual and the audit sites of
+# runs over contexts of more than 32 names.
+LARGE_CONTEXT_REPORTS = {
+    ("poll_system_40", "check"): (0, "46a2c1a98b075e6184a6053dd3ef84da6c713227b3aefa5962611ca861dadd88"),
+    ("poll_system_40", "oracle"): (0, "85645c66880ab43ba5de8e51955de9e821606eac2f3cc5a123685429373e4123"),
+    ("receive_chain_100", "check"): (0, "d8bcc48e83df14f67448a34ebd8111846c96c697d172991795ac3ff8ea5d3319"),
+    ("receive_chain_100", "oracle"): (0, "85645c66880ab43ba5de8e51955de9e821606eac2f3cc5a123685429373e4123"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(LARGE_CONTEXT_REPORTS))
+def test_reports_over_large_contexts_match_their_digests(tmp_path, capsys, name, command):
+    ctx_text, proc_text = _large_context_inputs()[name]
+    proc, ctx = tmp_path / f"{name}.pi", tmp_path / f"{name}.ctx"
+    proc.write_text(proc_text, encoding="utf-8")
+    ctx.write_text(ctx_text, encoding="utf-8")
+    flags = ["--trace", "--audit", "--json"] if command == "check" else ["--json"]
+    code, out, _ = run_cli(capsys, command, str(proc), "--ctx", str(ctx), *flags)
+    report = json.loads(out)
+    del report["timing_ms"]
+    text = json.dumps(report, sort_keys=True, ensure_ascii=False)
+    assert (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) == LARGE_CONTEXT_REPORTS[name, command]
 
 
 @pytest.mark.parametrize("name", sorted(deep_inputs()))

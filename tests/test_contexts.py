@@ -28,7 +28,7 @@ from sessionpi import (
     update_entry,
     used_map,
 )
-from sessionpi.contexts import entry_of_type, is_un_item, type_of_entry
+from sessionpi.contexts import entry_equal, entry_of_type, is_un_item, type_of_entry
 from sessionpi.gen import gen_safe_context, gen_safe_entry, poll_context_text
 
 LIN_IN = parse_type("lin ?(un end).un end")
@@ -227,17 +227,28 @@ def test_context_pretty_round_trip():
 # Context against a plain-dict model
 # ---------------------------------------------------------------------------
 
-NAMES = ("a", "b", "c", "d", "e")
+# A pool of names wider than two chunks: the model's contexts are flat (at
+# most 32 names) or chunked, and runs cross 32 names in both directions.
+NAMES = tuple(f"n{k}" for k in range(80))
 ENTRIES = (Single(E), Single(LIN_IN), Single(VOID), Pair(LIN_IN, LIN_OUT), Pair(VOID, E))
+WIDTH = 32
 
-_op = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(NAMES), st.sampled_from(ENTRIES)),
-    st.tuples(st.just("add"), st.sampled_from(NAMES), st.sampled_from(ENTRIES)),
-    st.tuples(st.just("remove"), st.sampled_from(NAMES)),
-    # Go back to an earlier context, so that later steps derive from
-    # contexts whose indexes already have derived ones.
-    st.tuples(st.just("back"), st.integers(min_value=0)),
+# Adds outnumber removes, and each op aims at a name through ``_target``.
+_op = st.tuples(
+    st.sampled_from(["add", "add", "add", "set", "remove", "remove", "back"]),
+    st.integers(min_value=0),
+    st.sampled_from(ENTRIES),
 )
+
+
+def _target(model: dict, op: str, i: int) -> str:
+    """The name ``op`` aims at: one it can act on (a name of the pool not
+    in ``model`` for ``add``, one in it for ``set`` and ``remove``), or
+    every eighth time any name of the pool, which may give a KeyError."""
+    names = [n for n in NAMES if n not in model] if op == "add" else list(model)
+    if names and i % 8:
+        return names[i % len(names)]
+    return NAMES[i // 8 % len(NAMES)]
 
 
 def _agrees(g: Context, model: dict):
@@ -246,6 +257,13 @@ def _agrees(g: Context, model: dict):
     assert len(g) == len(model)
     assert g.canonical() == tuple(sorted(model.items()))
     assert g._index.positions == {n: i for i, n in enumerate(g._index.names)}
+    # At most 32 names hold one tuple; more hold full 32-wide chunks and
+    # a last chunk of the rest.
+    flat = tuple(model.values())
+    if len(model) <= WIDTH:
+        assert g._entries == flat
+    else:
+        assert g._entries == tuple(flat[k : k + WIDTH] for k in range(0, len(flat), WIDTH))
     for name in NAMES:
         assert g.get(name) == model.get(name)
         assert (name in g) == (name in model)
@@ -254,15 +272,24 @@ def _agrees(g: Context, model: dict):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.lists(_op, max_size=30))
-def test_context_agrees_with_a_dict_model(ops):
-    history = [(Context(), {})]
-    g, model = history[0]
+@given(st.integers(min_value=0, max_value=48), st.lists(_op, min_size=10, max_size=60))
+def test_context_agrees_with_a_dict_model(size, ops):
+    # Start from ``size`` names added one by one, so that runs start on
+    # both sides of 32 names and cross it both ways.
+    model = {}
+    g = Context()
+    for k, name in enumerate(NAMES[:size]):
+        model[name] = ENTRIES[k % len(ENTRIES)]
+        g = g.add(name, model[name])
+    _agrees(g, model)
+    history = [(g, model)]
     for op in ops:
         if op[0] == "back":
-            g, model = history[op[1] % len(history)]
+            # Go back to a recent context, so that later steps derive from
+            # contexts whose indexes already have derived ones.
+            g, model = history[-1 - op[1] % min(4, len(history))]
             continue
-        name = op[1]
+        name = _target(model, op[0], op[1])
         expected_error = (name in model) == (op[0] == "add")
         try:
             if op[0] == "set":
@@ -312,6 +339,83 @@ def test_nested_adds_removed_in_reverse_give_back_the_first_index():
     for name in reversed(names):
         g = g.remove(name)
     assert g._index is first._index and g == first
+
+
+def test_a_step_on_a_large_context_copies_one_chunk():
+    # Over 1,000 names the entries are 32 chunks, and a step shares with
+    # the context it came from every chunk it did not change.
+    names = [f"n{k}" for k in range(1000)]
+    g = Context((name, Single(LIN_IN)) for name in names)
+    chunks = g._entries
+    assert len(chunks) == 32 and all(len(chunk) == WIDTH for chunk in chunks[:-1])
+    for name in ("n0", "n31", "n32", "n500", "n999"):
+        changed = g.set(name, Single(VOID))._entries
+        assert len(changed) == len(chunks)
+        assert sum(a is not b for a, b in zip(chunks, changed)) == 1, name
+    grown = g.add("fresh", Single(E))._entries
+    assert all(a is b for a, b in zip(chunks[:-1], grown))
+    back = g.add("fresh", Single(E)).remove("fresh")._entries
+    assert len(back) == len(chunks) and all(a is b for a, b in zip(chunks[:-1], back))
+    assert back[-1] == chunks[-1]
+
+
+def _entrywise(op, *contexts):
+    """``op`` on ``contexts`` computed one name at a time, each on
+    one-name contexts, which hold a flat tuple: the items of the result,
+    or the text of the first error, as ``_algebra_outcome`` gives them."""
+    items = []
+    for name, _ in contexts[0].items():
+        got = _algebra_outcome(op, *(Context([(name, g.get(name))]) for g in contexts))
+        if got[0] == "error":
+            return got
+        items += got
+    return items
+
+
+@pytest.mark.parametrize("size", [31, 32, 33, 64, 65, 300])
+def test_chunked_contexts_agree_with_a_flat_reference(size):
+    rng = random.Random(size)
+    names = [f"x{k}" for k in range(size)]
+    g = gen_safe_context(rng, names)
+    spent = nabla(g)
+    mixed = g.with_entries(rng.choice([e, spent.get(n)]) for n, e in g.items())
+    reordered = Context(reversed(list(mixed.items())))
+    for other in (g, spent, mixed, reordered):
+        for op in (closure, update_context):
+            assert _algebra_outcome(op, g, other) == _entrywise(op, g, other)
+            assert _algebra_outcome(op, other, g) == _entrywise(op, other, g)
+    assert _algebra_outcome(closure, g, g.remove(names[-1]).add("w", Single(E)))[0] == "error"
+    for h in (g, spent, mixed):
+        assert list(used_map(h).items()) == _entrywise(used_map, h)
+        assert list(nabla(h).items()) == _entrywise(nabla, h)
+        entries = [e for _, e in h.items()]
+        assert is_safe_context(h) == all(map(is_safe_entry, entries))
+        assert is_un_context(h) == all(map(is_un_entry, entries))
+        for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert copied == h and list(copied.items()) == list(h.items())
+            assert copied._entries == h._entries
+    entries = [rng.choice(ENTRIES) for _ in names]
+    assert list(g.with_entries(entries).items()) == list(zip(names, entries))
+    kept = tuple(n for n in names if rng.random() < 0.6)
+    sub = g.subcontext(kept, tuple(g.get(n) for n in kept))
+    assert list(sub.items()) == [(n, g.get(n)) for n in kept] and sub == Context(sub.items())
+    # context_equal reads types up to unfolding: an unfolded recursive type
+    # is another interned type, but an equal one.
+    rec = Single(parse_type("rec a. un !(un end).a"))
+    unfolded = Single(parse_type("un !(un end).rec a. un !(un end).a"))
+    last = names[-1]
+    pairs = [(g, h) for h in (g, spent, mixed, reordered, Context(reversed(list(g.items()))))]
+    pairs += [(g.set(n, rec), g.set(n, unfolded)) for n in (names[0], last)]
+    pairs += [(g.set(last, rec), g.set(last, Single(VOID))), (g, g.remove(last))]
+    for g1, g2 in pairs:
+        want = g1.names() == g2.names() and all(entry_equal(e, g2.get(n)) for n, e in g1.items())
+        assert context_equal(g1, g2) == context_equal(g2, g1) == want
+    assert context_equal(g.set(last, rec), g.set(last, unfolded))
+    assert g.set(last, rec) != g.set(last, unfolded)
+    for name in (names[0], names[size // 2], last):
+        assert not is_safe_context(spent.set(name, Pair(LIN_OUT, LIN_OUT)))
+        assert is_un_context(spent.set(name, Single(E)))
+        assert not is_un_context(spent.set(name, Single(LIN_IN)))
 
 
 def test_a_context_prints_each_entry_once(monkeypatch):
