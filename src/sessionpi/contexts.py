@@ -27,11 +27,11 @@ A ``Context`` holds its entries over an index of its names (``_Index``)
 shared by the contexts derived from it.  Over at most 32 names the entries
 are one tuple; over more they are 32-wide chunks, so that a rule step
 copies one chunk and a short spine rather than every entry, and contexts
-derived from one another share the chunks they did not change.  Bulk
-operations read a deep context's entries in one run (``_flat``) and cut
-their result into chunks again (``_chunked``).  Each tests ``deep`` itself
-and uses a flat context's tuple as it is: on two names, a call to a helper
-would cost an operation a tenth of its time.
+derived from one another share the chunks they did not change.  Only
+``get``, ``set``, ``add``, ``remove`` and ``used_map`` (which maps chunk to
+chunk) read the layout themselves; other bulk operations read the entries
+in order (``_flat``) and put their result in the layout of its index
+(``_layout``).
 
 Everything here is immutable and pure.
 """
@@ -220,8 +220,7 @@ class Context:
     def __init__(self, entries: Iterable[tuple[str, Entry]] = ()):
         table = dict(entries)
         self._index = _Index(tuple(table))
-        entries = tuple(table.values())
-        self._entries = _chunked(entries) if self._index.deep else entries
+        self._entries = _layout(self._index, tuple(table.values()))
 
     def __reduce__(self):
         # Copies and pickles rebuild the index, not the family it is in.
@@ -243,7 +242,7 @@ class Context:
         return frozenset(self._index.names)
 
     def items(self) -> Iterator[tuple[str, Entry]]:
-        return zip(self._index.names, _flat(self) if self._index.deep else self._entries)
+        return zip(self._index.names, _flat(self))
 
     def set(self, name: str, entry: Entry) -> "Context":
         index = self._index
@@ -296,13 +295,13 @@ class Context:
         entries = tuple(entries)
         if len(entries) != len(self):
             raise ValueError(f"{len(entries)} entries for {len(self)} names")
-        return _context(self._index, _chunked(entries) if self._index.deep else entries)
+        return _context(self._index, _layout(self._index, entries))
 
     def subcontext(self, names: tuple[str, ...], entries: tuple) -> "Context":
         """The context of ``names``, some of this one's, holding ``entries``;
         callers that list the same names in the same order share one index."""
         index = self._index.sub(names)
-        return _context(index, _chunked(entries) if index.deep else entries)
+        return _context(index, _layout(index, entries))
 
     def canonical(self) -> tuple:
         """Hashable, order-independent form, for memo tables."""
@@ -346,6 +345,11 @@ def _context(index: _Index, entries: tuple) -> Context:
 def _chunked(entries: tuple) -> tuple:
     """``entries`` cut into ``_WIDTH``-wide chunks."""
     return tuple(entries[k : k + _WIDTH] for k in range(0, len(entries), _WIDTH))
+
+
+def _layout(index: _Index, entries: tuple) -> tuple:
+    """``entries``, one per name of ``index`` in order, in its layout."""
+    return _chunked(entries) if index.deep else entries
 
 
 def _flat(g: Context) -> Iterable[Entry]:
@@ -453,7 +457,7 @@ def _safe_chan(t: ChanType, assumed: frozenset) -> bool:
 
 
 def is_safe_context(g: Context) -> bool:
-    return all(map(is_safe_entry, _flat(g) if g._index.deep else g._entries))
+    return all(map(is_safe_entry, _flat(g)))
 
 
 def is_un_item(m: Item) -> bool:
@@ -468,7 +472,7 @@ def is_un_entry(e: Entry) -> bool:
 
 
 def is_un_context(g: Context) -> bool:
-    return all(map(is_un_entry, _flat(g) if g._index.deep else g._entries))
+    return all(map(is_un_entry, _flat(g)))
 
 
 def is_un_type(t: Type) -> bool:
@@ -534,15 +538,14 @@ def _pointwise(g1: Context, g2: Context, op, what: str) -> Context:
     """Combine two contexts of equal domain entry by entry with ``op``; over
     one index the entries pair up by position."""
     index = g1._index
-    deep = index.deep
     if index is g2._index:
-        others = _flat(g2) if deep else g2._entries
+        others = _flat(g2)
     elif g1.names() != g2.names():
         raise ContextAlgebraError(f"{what} needs contexts with equal domains")
     else:
         others = map(g2.get, index.names)
-    entries = tuple(map(partial(_combine, op), index.names, _flat(g1) if deep else g1._entries, others))
-    return _context(index, _chunked(entries) if deep else entries)
+    entries = tuple(map(partial(_combine, op), index.names, _flat(g1), others))
+    return _context(index, _layout(index, entries))
 
 
 @_memoized
@@ -569,6 +572,7 @@ def _used_entry(e: Entry) -> Type:
 
 def used_map(g: Context) -> DeclContext:
     """Project a context to a declarative one; consumed slots become ``un end``."""
+    # Entry by entry, so a chunk maps to a chunk.
     index = g._index
     if index.deep:
         return _context(index, tuple(tuple(map(_used_entry, chunk)) for chunk in g._entries))

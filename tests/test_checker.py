@@ -506,28 +506,28 @@ def test_trace_off_check_renames_only_when_the_term_is_read(monkeypatch):
 # Traced checking of deep inputs
 # ---------------------------------------------------------------------------
 
+# One trace step per rule instance, whatever layout the contexts use.
+DEEP_TRACE_LENGTHS = {"chain": 601, "poll": 1419, "wide": 1399}
+
+
 @pytest.mark.parametrize("name", sorted(deep_inputs()))
 def test_deep_inputs_check_with_the_trace_on(name):
     ctx_text, proc_text = deep_inputs()[name]
     result = type_check(parse_context(ctx_text), parse_process(proc_text))
     assert result.accepted, result.error
-    assert len(result.trace) > 400
+    assert len(result.trace) == DEEP_TRACE_LENGTHS[name]
     for step in result.trace:
         node = step.node
         assert step.subject == (f"{node[0]} : {node[1]}" if isinstance(node, tuple) else str(node))
     assert result.trace[0].subject == str(result.process)
 
 
-def test_traced_poll_system_300_has_a_pinned_length():
-    g, p = poll_system(300)
-    result = type_check(g, p)
-    assert result.accepted and len(result.trace) == 1219
-
-
 def test_traced_poll_system_keeps_little_memory():
     # Contexts along a trace share their name index and every chunk of
     # entries a step did not change, and steps keep their subjects as
     # nodes: a step over n names holds about 32 + n / 32 new pointers.
+    # Copying all n entries per step, as a flat tuple does, retained
+    # 3.5 MB here; chunks retain 0.8 MB.
     ctx_text, proc_text = deep_inputs()["poll"]
     g, p = parse_context(ctx_text), parse_process(proc_text)
     gc.collect()
@@ -539,7 +539,7 @@ def test_traced_poll_system_keeps_little_memory():
     finally:
         tracemalloc.stop()
     assert result.accepted
-    assert retained < 8_000_000
+    assert retained < 2_000_000
 
 
 def test_rejected_result_is_freed_without_the_garbage_collector():

@@ -235,7 +235,7 @@ WIDTH = 32
 
 # Adds outnumber removes, and each op aims at a name through ``_target``.
 _op = st.tuples(
-    st.sampled_from(["add", "add", "add", "set", "remove", "remove", "back"]),
+    st.sampled_from(["add", "add", "add", "set", "remove", "remove", "back", "recent"]),
     st.integers(min_value=0),
     st.sampled_from(ENTRIES),
 )
@@ -272,10 +272,14 @@ def _agrees(g: Context, model: dict):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.integers(min_value=0, max_value=48), st.lists(_op, min_size=10, max_size=60))
+@given(
+    st.one_of(st.integers(0, 8), st.integers(24, 40), st.integers(0, 48)),
+    st.lists(_op, min_size=10, max_size=60),
+)
 def test_context_agrees_with_a_dict_model(size, ops):
-    # Start from ``size`` names added one by one, so that runs start on
-    # both sides of 32 names and cross it both ways.
+    # Start from ``size`` names added one by one: a few names, as in small
+    # programs, or near 32, so that runs start on both sides of 32 names
+    # and cross it both ways.
     model = {}
     g = Context()
     for k, name in enumerate(NAMES[:size]):
@@ -284,9 +288,14 @@ def test_context_agrees_with_a_dict_model(size, ops):
     _agrees(g, model)
     history = [(g, model)]
     for op in ops:
+        # Go back to an earlier context, or to one of the last four, so
+        # that later steps derive from contexts whose indexes already have
+        # derived ones: from a flat context after deep ones, and the other
+        # way round.
         if op[0] == "back":
-            # Go back to a recent context, so that later steps derive from
-            # contexts whose indexes already have derived ones.
+            g, model = history[op[1] % len(history)]
+            continue
+        if op[0] == "recent":
             g, model = history[-1 - op[1] % min(4, len(history))]
             continue
         name = _target(model, op[0], op[1])
