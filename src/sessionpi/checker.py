@@ -7,16 +7,17 @@ process; on a safe context at most one pattern applies, so there is no
 backtracking.  Consumed linear slots are marked ``◦`` so later threads
 cannot reuse them.
 
-Dispatch lists the rules whose guards hold and takes the first.  The list
-of a structural node comes from one table by its class.  That of a
+Dispatch reads the list of the rules whose guards hold straight from a
+table, rejects at once when it is empty, and otherwise takes the first.  A
+structural node's list comes from ``_STRUCTURAL`` by its class.  That of a
 variable, send or receive depends only on the interned entry of its subject
-and on the type or prefix it is used at, so it is kept in the memo of
-``syntax._memoized`` the first time the pair is met.  With auditing on, the
-length of each list is recorded, which on a safe context is at most one.
-Process rules name their bodies, looked up on the checker at each call.
-Location strings are built only when an audit record keeps them; a trace
-step keeps its subject and renders it when read, and an error formats its
-texts when they are read.
+and on the type or prefix it is used at, so ``_var_rules`` and ``_io_rules``
+keep it in the memo of ``syntax._memoized`` the first time the pair is met.
+With auditing on, the length of each list is recorded with the subject,
+which on a safe context is at most one.  Process rules name their bodies,
+looked up on the checker at each call.  Checking builds no text: a trace
+step and an audit record keep their subject and render it when read, and an
+error keeps a recipe for each text, formatted when read (``CheckError``).
 
 Binding is scoped.  A binder whose name is already in the context shadows
 that entry for the length of its scope, and the end of the scope puts the
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .contexts import (
     VOID,
@@ -105,32 +106,33 @@ class ErrorKind(enum.Enum):
 class CheckError(Exception):
     """Structured rejection raised while checking; surfaced in CheckResult.
 
-    ``location`` and ``detail`` may be given as functions that build the
-    text; each is called on first read, so a caller that reads only
-    ``kind`` never formats a process or a type.
+    ``location`` and ``detail`` are each a string or a recipe
+    ``(function, *args)`` for one, a defunctionalized closure (Reynolds
+    1972; Danvy & Nielsen, PPDP 2001).  A recipe is called on first read
+    and replaced by its text, so a rejection allocates no closure, and a
+    caller that reads only ``kind`` never formats a process or a type.
     """
 
-    # Set by ``type_check`` on an error raised checking a raw term: returns
-    # the error that checking the renamed term raises, whose texts this one
-    # takes on first read, or ``None`` when renaming keeps the term.
-    _renamed: Optional[Callable[[], Optional["CheckError"]]] = None
+    # Set by ``type_check`` on an error raised checking a raw term: the
+    # context and the term.  When renaming changes the term, this error
+    # takes on first read the texts of the error its renaming raises.
+    _renamed: Optional[tuple[Context, Process]] = None
 
-    def __init__(
-        self, kind: ErrorKind, location: str | Callable[[], str], detail: str | Callable[[], str]
-    ):
-        super().__init__()
+    def __init__(self, kind: ErrorKind, location: Union[str, tuple], detail: Union[str, tuple]):
         self.kind = kind
         self._location = location
         self._detail = detail
 
     def _text(self, name: str) -> str:
         if self._renamed is not None:
-            source, self._renamed = self._renamed(), None
+            (g, p), self._renamed = self._renamed, None
+            source = _renamed_error(g, p)
             if source is not None:
                 self._location, self._detail = source._location, source._detail
         text = getattr(self, name)
         if not isinstance(text, str):
-            text = text()
+            function, *args = text
+            text = function(*args)
             setattr(self, name, text)
         return text
 
@@ -167,17 +169,29 @@ class TraceStep:
 
     @property
     def subject(self) -> str:
-        if isinstance(self.node, tuple):
-            return f"{self.node[0]} : {self.node[1]}"
-        return str(self.node)
+        return _site(self.node) if isinstance(self.node, tuple) else str(self.node)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class AuditRecord:
-    """Number of independently matching patterns at one recursive call."""
+    """Number of independently matching patterns at one recursive call.
 
-    site: str
+    ``node`` is the call's subject, as in ``TraceStep``, or its site's text;
+    ``site`` renders it when read, so an audited run builds no location
+    string.  Records are equal when their sites and counts are."""
+
+    node: Union[str, Process, tuple[str, Type]]
     count: int
+
+    @property
+    def site(self) -> str:
+        return self.node if isinstance(self.node, str) else _site(self.node)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AuditRecord) and (self.site, self.count) == (other.site, other.count)
+
+    def __hash__(self) -> int:
+        return hash((self.site, self.count))
 
 
 @dataclass
@@ -210,14 +224,23 @@ def _loc(p: Process) -> str:
     return text
 
 
-def _no_pattern(g: Context, p: Process) -> str:
-    """Why no process rule applies to ``p`` under ``g``."""
-    if not isinstance(p, (Output, Input)):
-        return "no pattern applies"
-    entry = g.get(p.chan)
+def _site(node: Union[Process, tuple[str, Type]]) -> str:
+    """Where a rule was sought: a process's location, or ``x : t`` for a variable."""
+    if isinstance(node, tuple):
+        return f"{node[0]} : {node[1]}"
+    return _loc(node)
+
+
+def _no_pattern(g: Context, node: Union[Process, tuple[str, Type]]) -> str:
+    """Why no rule applies under ``g`` to ``node``, a send or receive, or a
+    variable ``x`` used at ``t``, given as ``(x, t)``."""
+    x, t = node if isinstance(node, tuple) else (node.chan, None)
+    entry = g.get(x)
     if entry is None:
-        return f"{p.chan} is not in the context"
-    return f"no pattern for {type(p).__name__.lower()} on {p.chan} with entry {entry}"
+        return f"{x} is not in the context"
+    if t is not None:
+        return f"cannot use {x} (entry {entry}) at type {t}"
+    return f"no pattern for {type(node).__name__.lower()} on {x} with entry {entry}"
 
 
 def _bind(g: Context, binder: str, entry: Entry) -> tuple[Context, Optional[Entry]]:
@@ -236,11 +259,8 @@ def _require_un(p: Process, name: str, residue: Entry, where: str):
     """Reject ``p`` unless ``residue``, what is left of ``name``, is
     unrestricted; ``where`` is "in the continuation" or "in its scope"."""
     if not is_un_entry(residue):
-        raise CheckError(
-            ErrorKind.LINEAR_RESIDUAL,
-            lambda: _loc(p),
-            lambda: f"linear usage of {name} not finished {where} (residue {residue})",
-        )
+        detail = ("linear usage of {} not finished {} (residue {})".format, name, where, residue)
+        raise CheckError(ErrorKind.LINEAR_RESIDUAL, (_site, p), detail)
 
 
 # The suffixes that rule names carry for the slots of an entry, by the
@@ -335,29 +355,16 @@ class _Checker:
         self.audits: Optional[list[AuditRecord]] = [] if audit else None
         self.runtime_audits = runtime_audits
 
-    def _first(self, matches: list, site: Callable[[], str]) -> Optional[tuple]:
-        """The first match, or ``None``; when auditing, the number of
-        matches is recorded at ``site()``."""
-        if self.audits is not None:
-            self.audits.append(AuditRecord(site(), len(matches)))
-        return matches[0] if matches else None
-
     # -- variables -----------------------------------------------------------
 
     def check_var(self, g: Context, x: str, t: Type) -> Context:
         entry = g.get(x)
-        found = self._first([] if entry is None else _var_rules(entry, t), lambda: f"{x} : {t}")
-        if found is None:
-            raise CheckError(
-                ErrorKind.NO_PATTERN,
-                lambda: f"{x} : {t}",
-                lambda: (
-                    f"{x} is not in the context"
-                    if entry is None
-                    else f"cannot use {x} (entry {entry}) at type {t}"
-                ),
-            )
-        rule, left = found
+        matches = () if entry is None else _var_rules(entry, t)
+        if self.audits is not None:
+            self.audits.append(AuditRecord((x, t), len(matches)))
+        if not matches:
+            raise CheckError(ErrorKind.NO_PATTERN, (_site, (x, t)), (_no_pattern, g, (x, t)))
+        rule, left = matches[0]
         out = g if left is None else g.set(x, left)
         if self.trace is not None:
             self.trace.append(TraceStep(rule, g, (x, t), out))
@@ -365,21 +372,19 @@ class _Checker:
 
     # -- processes -----------------------------------------------------------
 
-    def _process_matches(self, g: Context, p: Process) -> list[tuple]:
-        """The matches of the process rules whose guards hold."""
-        rules = _STRUCTURAL.get(type(p))
-        if rules is not None:
-            return rules
-        entry = g.get(p.chan) if isinstance(p, (Output, Input)) else None
-        return [] if entry is None else _io_rules(entry, type(p))
-
     def check(self, g: Context, p: Process) -> Context:
-        found = self._first(self._process_matches(g, p), lambda: _loc(p))
-        if found is None:
-            raise CheckError(ErrorKind.NO_PATTERN, lambda: _loc(p), lambda: _no_pattern(g, p))
+        # A node that no structural rule matches is a send or a receive.
+        matches = _STRUCTURAL.get(type(p))
+        if matches is None:
+            entry = g.get(p.chan)
+            matches = () if entry is None else _io_rules(entry, type(p))
+        if self.audits is not None:
+            self.audits.append(AuditRecord(p, len(matches)))
+        if not matches:
+            raise CheckError(ErrorKind.NO_PATTERN, (_site, p), (_no_pattern, g, p))
         # The rule body is called from here, not through a helper, so that
         # each prefix costs two frames on the recursion path.
-        rule, body, extra = found
+        rule, body, extra = matches[0]
         step = None
         if self.trace is not None:
             step = TraceStep(rule, g, p)
@@ -453,11 +458,8 @@ class _Checker:
 
     def _rule_res(self, g: Context, p: New) -> Context:
         if not is_safe_type(p.annot):
-            raise CheckError(
-                ErrorKind.UNSAFE_ANNOTATION,
-                lambda: _loc(p),
-                lambda: f"annotation {p.annot} is not safe",
-            )
+            detail = ("annotation {} is not safe".format, p.annot)
+            raise CheckError(ErrorKind.UNSAFE_ANNOTATION, (_site, p), detail)
         g1, shadowed = _bind(g, p.binder, entry_of_type(p.annot))
         g2 = self.check(g1, p.cont)
         _require_un(p, p.binder, g2.get(p.binder), "in its scope")
@@ -472,11 +474,8 @@ class _Checker:
     def _rule_repl(self, g: Context, p: Repl) -> Context:
         g2 = self.check(g, p.body)
         if not context_equal(g2, g):
-            raise CheckError(
-                ErrorKind.LINEAR_RESIDUAL,
-                lambda: _loc(p),
-                "a linear resource was consumed under replication",
-            )
+            detail = "a linear resource was consumed under replication"
+            raise CheckError(ErrorKind.LINEAR_RESIDUAL, (_site, p), detail)
         return g2
 
 
@@ -511,7 +510,7 @@ def type_check(
     run = _Checker(trace=trace, audit=audit, runtime_audits=runtime_audits)
     out, err = _outcome(run, g, p if q is None else q)
     if err is not None and q is None:
-        err._renamed = lambda: _renamed_error(g, p)
+        err._renamed = (g, p)
     return CheckResult(err is None, out, err, _completed(run), run.audits, (g, p), q)
 
 
@@ -525,7 +524,7 @@ def _outcome(run: _Checker, g: Context, p: Process) -> tuple[Optional[Context], 
         # that keeps the error: a cycle only the garbage collector frees.
         return None, err.with_traceback(None)
     except ContextAlgebraError as err:
-        return None, CheckError(ErrorKind.PARTIAL_ALGEBRA, lambda: str(p), str(err))
+        return None, CheckError(ErrorKind.PARTIAL_ALGEBRA, (str, p), str(err))
     if not is_un_context(out):
         offending = [name for name, e in out.items() if not is_un_entry(e)]
         return None, CheckError(

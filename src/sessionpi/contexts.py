@@ -207,7 +207,8 @@ class Context:
     persistent", JCSS 1989, and Bagwell, "Ideal Hash Trees", 2001):
     ``set`` copies one chunk and the spine of ``n / 32`` chunk pointers,
     ``add`` and ``remove`` of the last name copy the last chunk and the
-    spine, and a derived context shares every chunk it did not change.
+    spine, ``remove`` of another name shifts each later chunk by one entry,
+    and a derived context shares every chunk it did not change.
     ``items`` runs in insertion order; ``==`` and ``hash`` do not depend
     on the order.
 
@@ -276,18 +277,16 @@ class Context:
         entries = self._entries
         if not self._index.deep:
             return _context(index, entries[:k] + entries[k + 1 :])
-        # The chunks before the one holding ``name`` are kept; the entries
-        # after it move down one place.
-        c = k >> _SHIFT
-        last = c == len(entries) - 1
-        rest = entries[c] if last else tuple(itertools.chain.from_iterable(entries[c:]))
-        k &= _MASK
-        rest = rest[:k] + rest[k + 1 :]
-        if not index.deep:
-            return _context(index, entries[0] if c else rest)
-        if last:
-            return _context(index, entries[:c] + (rest,) if rest else entries[:c])
-        return _context(index, entries[:c] + _chunked(rest))
+        # The chunks before the one holding ``name`` are kept; each later
+        # chunk moves down one place, its first entry closing the chunk
+        # before it.
+        c, k = k >> _SHIFT, k & _MASK
+        moved = [entries[c][:k] + entries[c][k + 1 :]]
+        for chunk in entries[c + 1 :]:
+            moved[-1] += chunk[:1]
+            moved.append(chunk[1:])
+        chunks = entries[:c] + tuple(moved if moved[-1] else moved[:-1])
+        return _context(index, chunks if index.deep else chunks[0])
 
     def with_entries(self, entries: Iterable[Entry]) -> "Context":
         """The context over the same names, in the same order, holding

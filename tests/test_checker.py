@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
@@ -305,6 +306,28 @@ def test_audit_on_random_safe_pairs():
     assert unsafe == 11
 
 
+def test_audit_sites_render_when_read(monkeypatch):
+    # An audited run keeps each call's subject, so reading the counts
+    # builds no location: on a left-nested ``|`` each site renders the
+    # whole left spine, which made the audit quadratic.
+    import sessionpi.checker
+
+    calls = []
+    monkeypatch.setattr(sessionpi.checker, "_loc", lambda p: calls.append(p))
+    g = parse_context("c : rec a. un !(un end).a\nv : un end")
+    result = type_check(g, parse_process(" | ".join(["c!v.0"] * 400)), trace=False, audit=True)
+    assert result.accepted and [r.count for r in result.audits] == [1] * 1599
+    assert calls == []
+    monkeypatch.undo()
+    sites = [r.site for r in result.audits]
+    assert sites[0] == "c!v.0 | c!v.0 | c!v.0 | c!v.0 | c!v.0 | c!v.0 | c!v.0 | c... (line 1, col 3191)"
+    assert sites[-3:] == ["c!v.0 (line 1, col 3193)", "v : un end", "0 (line 1, col 3197)"]
+    # The texts the records built when they were made, as measured before
+    # sites were rendered on demand.
+    digest = hashlib.sha256("\n".join(sites).encode()).hexdigest()
+    assert digest == "c4ef15e6763443689e949d20cd8f6ef349f4693fe68db00ef56bd6cde604d613"
+
+
 # ---------------------------------------------------------------------------
 # Trace structure
 # ---------------------------------------------------------------------------
@@ -364,6 +387,140 @@ def test_accepting_run_builds_no_location_strings(monkeypatch):
         assert err.kind.value == want["kind"], name
         assert (err.location, err.detail) == (want["location"], want["detail"]), name
         assert str(err) == f"{want['kind']} at {want['location']}: {want['detail']}", name
+
+
+_PAIR_LIN_END = "<lin !(un end).lin end, lin ?(un end).lin end>"
+_PAIR_UN_END = "<lin !(un end).un end, lin ?(un end).un end>"
+
+# One rejection per place the checker raises: (context, process, kind,
+# location, detail), the texts verbatim.
+REJECTIONS = [
+    # NoPattern on a process: its channel absent, or no rule for its entry.
+    (
+        "x : lin !(un end).un end",
+        "y!x.0",
+        "NoPattern",
+        "y!x.0 (line 1, col 1)",
+        "y is not in the context",
+    ),
+    (
+        "x : lin ?(un end).un end\nv : un end",
+        "x!v.0",
+        "NoPattern",
+        "x!v.0 (line 1, col 1)",
+        "no pattern for output on x with entry lin ?(un end).un end",
+    ),
+    (
+        "x : lin !(un end).un end\nv : un end",
+        "(x!v.0 | x!v.0)",
+        "NoPattern",
+        "x!v.0 (line 1, col 10)",
+        "no pattern for output on x with entry ◦",
+    ),
+    # NoPattern on a variable, absent and present.
+    ("x : lin !(un end).un end", "x!v.0", "NoPattern", "v : un end", "v is not in the context"),
+    (
+        "x : lin !(un end).un end\nv : lin ?(un end).un end",
+        "x!v.0",
+        "NoPattern",
+        "v : un end",
+        "cannot use v (entry lin ?(un end).un end) at type un end",
+    ),
+    # UnsafeAnnotation on a restriction and on the initial context.
+    (
+        "",
+        f"new c: {_PAIR_LIN_END}. 0",
+        "UnsafeAnnotation",
+        f"new c: {_PAIR_LIN_END}. 0 (line 1, col 1)",
+        f"annotation {_PAIR_LIN_END} is not safe",
+    ),
+    (
+        f"c : {_PAIR_LIN_END}\nd : un end\ne : {_PAIR_LIN_END}",
+        "0",
+        "UnsafeAnnotation",
+        "initial context",
+        "context is not safe at c, e",
+    ),
+    # LinearResidual in the continuation, in a scope, and under replication.
+    (
+        "x : lin !(un end).lin !(un end).un end\nv : un end",
+        "x!v.0",
+        "LinearResidual",
+        "x!v.0 (line 1, col 1)",
+        "linear usage of x not finished in the continuation (residue lin !(un end).un end)",
+    ),
+    (
+        "x : lin ?(lin ?(un end).un end).un end",
+        "x?(y).0",
+        "LinearResidual",
+        "x?(y).0 (line 1, col 1)",
+        "linear usage of y not finished in the continuation (residue lin ?(un end).un end)",
+    ),
+    (
+        "x : rec a. un ?(lin ?(un end).un end).a",
+        "x?(y).0",
+        "LinearResidual",
+        "x?(y).0 (line 1, col 1)",
+        "linear usage of y not finished in its scope (residue lin ?(un end).un end)",
+    ),
+    (
+        "",
+        f"new c: {_PAIR_UN_END}. 0",
+        "LinearResidual",
+        f"new c: {_PAIR_UN_END}. 0 (line 1, col 1)",
+        f"linear usage of c not finished in its scope (residue {_PAIR_UN_END})",
+    ),
+    (
+        "x : lin !(un end).un end\nv : un end",
+        "!(x!v.0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0)",
+        "LinearResidual",
+        "!(x!v.0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |... (line 1, col 1)",
+        "a linear resource was consumed under replication",
+    ),
+    # NonUnrestrictedResult.
+    (
+        "x : lin !(un end).un end\nv : un end\ny : lin ?(un end).un end",
+        "0",
+        "NonUnrestrictedResult",
+        "x, y",
+        "linear entries survive at top level: x, y",
+    ),
+    # Raw terms whose renaming changes the texts: a binder that shadows a
+    # context entry is renamed, and the location shows the new name.
+    (
+        "x : un end",
+        f"new x: {_PAIR_UN_END}. y!x.0",
+        "NoPattern",
+        "y!x1.0 (line 1, col 54)",
+        "y is not in the context",
+    ),
+    (
+        "x : un end",
+        f"new x: {_PAIR_UN_END}. x!x.0",
+        "NoPattern",
+        "x1 : un end",
+        "cannot use x1 (entry ◦) at type un end",
+    ),
+]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_every_rejection_text_is_pinned(trace):
+    # With the trace off the raw term is checked and the texts come from the
+    # renamed term when read; with it on the renamed term is checked.
+    for context, process, kind, location, detail in REJECTIONS:
+        err = type_check(parse_context(context), parse_process(process), trace=trace).error
+        assert (err.kind.value, err.location, err.detail) == (kind, location, detail), process
+        assert str(err) == f"{kind} at {location}: {detail}", process
+    # The bare kernel raises the same texts on a term that renaming keeps.
+    with pytest.raises(CheckError) as caught:
+        check(parse_context("x : lin !(un end).un end"), parse_process("x!v.0"))
+    assert str(caught.value) == "NoPattern at v : un end: v is not in the context"
+    with pytest.raises(CheckError) as caught:
+        check_var(parse_context("v : un end"), "v", LIN_OUT)
+    assert str(caught.value) == (
+        "NoPattern at v : lin !(un end).un end: cannot use v (entry un end) at type lin !(un end).un end"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,13 @@ def test_a_step_on_a_large_context_copies_one_chunk():
     back = g.add("fresh", Single(E)).remove("fresh")._entries
     assert len(back) == len(chunks) and all(a is b for a, b in zip(chunks[:-1], back))
     assert back[-1] == chunks[-1]
+    # Removing a name keeps the chunks before its own, and moves each later
+    # chunk down one entry.
+    shifted = g.remove("n500")
+    assert all(a is b for a, b in zip(chunks[:15], shifted._entries[:15]))
+    assert not any(a is b for a, b in zip(chunks[15:], shifted._entries[15:]))
+    assert len(shifted._entries) == 32 and len(shifted._entries[-1]) == len(chunks[-1]) - 1
+    assert list(shifted.items()) == [(name, Single(LIN_IN)) for name in names if name != "n500"]
 
 
 def _entrywise(op, *contexts):
