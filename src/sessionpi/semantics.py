@@ -25,7 +25,7 @@ that moves, so retyping a reduct needs no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .contexts import is_un_type
@@ -43,6 +43,7 @@ from .syntax import (
     Send,
     Type,
     Zero,
+    _replace,
     barendregt_rename,
     free_vars,
     substitute,
@@ -79,7 +80,7 @@ def replace_at(p: Process, path: Path, new: Process) -> Process:
     if not path:
         return new
     head = path[0]
-    return replace(p, **{head: replace_at(getattr(p, head), path[1:], new)})
+    return _replace(p, **{head: replace_at(getattr(p, head), path[1:], new)})
 
 
 def _positions(p: Process, prefix: Path = ()) -> Iterator[tuple[Path, Process]]:
@@ -194,7 +195,7 @@ def _fire(p: Process, com: _Com) -> Process:
     result = replace_at(result, com.in_path, substitute(inp.cont, out.arg, inp.binder))
     if com.binder_path is not None:
         node = get_at(result, com.binder_path)
-        result = replace_at(result, com.binder_path, replace(node, annot=advance_type(node.annot)))
+        result = replace_at(result, com.binder_path, _replace(node, annot=advance_type(node.annot)))
     return result
 
 

@@ -13,14 +13,17 @@ All nodes are immutable; every operation here is a pure function.  Type
 nodes are interned (hash-consed): structurally equal types are one object,
 so ``==`` on types is ``is`` and hashing one takes constant time; the other
 layers keep the facts of interned nodes with ``_memoized``.  Equality of
-infinite unfoldings is ``equality.type_equal``.
+infinite unfoldings is ``equality.type_equal``.  Process nodes are slotted
+records, built afresh and compared structurally; each class lists its
+fields once, in ``__match_args__``, which printing, copying and
+``_replace`` read.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 
@@ -54,8 +57,8 @@ class _Interned:
     types of any depth can be set members and dict keys).  Copying and
     pickling go back through the constructor.  A node prints through
     ``render``, which reads the pieces each class lists in ``_pieces``, and
-    its ``repr`` is the dataclass one, ``Cls(field=...)``, written by the
-    same walk, so neither recurses.
+    its ``repr``, ``Cls(field=...)`` over the fields of ``__match_args__``,
+    is written by the same walk, so neither recurses.
     """
 
     __slots__ = ()
@@ -202,18 +205,23 @@ def is_endpoint(t: Type) -> bool:
 # Processes
 # ---------------------------------------------------------------------------
 
-Pos = tuple  # (line, column), recorded for diagnostics only
-
-
 class _Node:
-    """Base of the process nodes: they print in concrete syntax, and own
-    their hash and free names, which ``_fill`` sets on first use rather than
-    at construction.  ``==`` and ``hash`` ignore ``pos``.  Printing is as
-    for type nodes (see ``_Interned``).  None of these recurses.
+    """Base of the process nodes: slotted records that print in concrete
+    syntax, and own their hash and free names, which ``_fill`` sets on first
+    use rather than at construction.  ``==`` and ``hash`` ignore ``pos``.
+    Printing is as for type nodes (see ``_Interned``).  None of these
+    recurses.  Nodes are immutable: plain assignment and deletion raise
+    ``AttributeError``; only a constructor and ``_fill`` store, through the
+    slot descriptors and ``object.__setattr__``.
     """
 
-    _hash: Optional[int] = None
-    _free: Optional[frozenset[str]] = None
+    __slots__ = ("_hash", "_free")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         return render(self)
@@ -247,13 +255,33 @@ class _Node:
                 stack.append((a.cont, b.cont))
         return True
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         # String hashes differ between interpreters: a copy refills its own.
-        return {k: v for k, v in vars(self).items() if k not in ("_hash", "_free")}
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-# ``eq=False`` keeps ``_Node``'s ``==`` and ``hash``; ``repr=False`` its ``__repr__``.
-_process_node = dataclass(frozen=True, eq=False, repr=False)
+def _process_node(cls: type) -> type:
+    """Finish a process class whose ``__slots__`` name its fields, then
+    ``pos``, the (line, column) the parser read it at, for diagnostics only:
+    ``__match_args__`` lists the fields, and ``__init__`` takes them in
+    order, then an optional ``pos``.  It stores each through its slot
+    descriptor, bound here once, and leaves the hash and free names ``None``."""
+    names = cls.__slots__
+    cls.__match_args__ = names[:-1]
+    stores = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    stores.update(set_hash=_Node._hash.__set__, set_free=_Node._free.__set__)
+    params = "".join(f"{name}, " for name in names[:-1])
+    body = "".join(f"    set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {params}pos=None):\n{body}"
+         "    set_hash(self, None)\n    set_free(self, None)\n", stores)
+    cls.__init__ = stores["__init__"]
+    return cls
+
+
+def _replace(p: "Process", **changes) -> "Process":
+    """``p`` rebuilt with the fields in ``changes`` and its own ``pos``."""
+    cls = type(p)
+    return cls(*(changes.get(name, getattr(p, name)) for name in cls.__match_args__), pos=p.pos)
 
 
 def _factor(head: str, body: "Process") -> tuple:
@@ -268,7 +296,7 @@ def _factor(head: str, body: "Process") -> tuple:
 
 @_process_node
 class Zero(_Node):
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("pos",)
 
     def _pieces(self) -> tuple:
         return ("0",)
@@ -276,9 +304,7 @@ class Zero(_Node):
 
 @_process_node
 class Par(_Node):
-    left: "Process"
-    right: "Process"
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("left", "right", "pos")
 
     def _pieces(self) -> tuple:
         return (self.left,) + _factor(" | ", self.right)
@@ -286,8 +312,7 @@ class Par(_Node):
 
 @_process_node
 class Repl(_Node):
-    body: "Process"
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("body", "pos")
 
     def _pieces(self) -> tuple:
         return _factor("!", self.body)
@@ -297,10 +322,7 @@ class Repl(_Node):
 class Output(_Node):
     """``chan!arg.cont``: send the variable ``arg`` on ``chan``."""
 
-    chan: str
-    arg: str
-    cont: "Process"
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("chan", "arg", "cont", "pos")
 
     def _pieces(self) -> tuple:
         return _factor(f"{self.chan}!{self.arg}.", self.cont)
@@ -310,10 +332,7 @@ class Output(_Node):
 class Input(_Node):
     """``chan?(binder).cont``: receive on ``chan``, binding ``binder`` in ``cont``."""
 
-    chan: str
-    binder: str
-    cont: "Process"
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("chan", "binder", "cont", "pos")
 
     def _pieces(self) -> tuple:
         return _factor(f"{self.chan}?({self.binder}).", self.cont)
@@ -323,10 +342,7 @@ class Input(_Node):
 class New(_Node):
     """``new binder: annot. cont``: restriction with a type annotation."""
 
-    binder: str
-    annot: Type
-    cont: "Process"
-    pos: Optional[Pos] = field(default=None, repr=False)
+    __slots__ = ("binder", "annot", "cont", "pos")
 
     def _pieces(self) -> tuple:
         return (f"new {self.binder}: ", self.annot, *_factor(". ", self.cont))
@@ -348,11 +364,11 @@ def render(node: Union[Process, _Interned], limit: Optional[int] = None) -> str:
 
 
 def _repr_pieces(q: Union[_Node, _Interned]) -> list:
-    """The pieces of the dataclass ``repr`` of ``q``: the fields it shows
-    (not ``pos``), where a node stays a node and any other value is
-    ``repr``-ed."""
+    """The pieces of the ``repr`` of ``q``, ``Cls(field=...)``: the fields
+    its class lists in ``__match_args__`` (not ``pos``), where a node stays
+    a node and any other value is ``repr``-ed."""
     pieces: list = [f"{type(q).__qualname__}("]
-    for k, name in enumerate(f.name for f in fields(q) if f.repr):
+    for k, name in enumerate(type(q).__match_args__):
         value = getattr(q, name)
         pieces.append(f"{', ' if k else ''}{name}=")
         pieces.append(value if isinstance(value, (_Node, _Interned)) else repr(value))

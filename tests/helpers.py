@@ -83,18 +83,22 @@ def reference_equal(p: Process, q: Process) -> bool:
 
 def count_fills(monkeypatch) -> collections.Counter:
     """Count, by node id, the hashes that process nodes are given from now
-    on.  A data descriptor on ``_Node`` sees each store, since the fill
-    stores through ``object.__setattr__``; the counted nodes must be kept
-    alive for their ids to stay theirs."""
+    on.  A data descriptor on ``_Node`` takes the place of its ``_hash``
+    slot and delegates to it; it sees each store of the fill, which stores
+    through ``object.__setattr__``, and counts those that set a hash, not
+    the ``None`` of a constructor.  The counted nodes must be kept alive for
+    their ids to stay theirs."""
     fills: collections.Counter = collections.Counter()
+    slot = syntax._Node.__dict__["_hash"]
 
     class Counted:
         def __get__(self, node, cls):
-            return None if node is None else node.__dict__.get("_hash")
+            return None if node is None else slot.__get__(node, cls)
 
         def __set__(self, node, value):
-            fills[id(node)] += 1
-            node.__dict__["_hash"] = value
+            if value is not None:
+                fills[id(node)] += 1
+            slot.__set__(node, value)
 
     monkeypatch.setattr(syntax._Node, "_hash", Counted())
     return fills

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import re
@@ -47,9 +48,9 @@ from sessionpi.gen import (
     poll_service_text,
 )
 from sessionpi.parser import _Parser
-from sessionpi.syntax import CaptureError, _scan, render
+from sessionpi.syntax import CaptureError, _Node, _replace, _scan, render
 from sessionpi.semantics import congruence_steps
-from tests.conftest import FIXTURES, fixture_names
+from tests.conftest import FIXTURES, fixture_names, load_fixture
 from tests.helpers import (
     count_fills,
     reference_equal,
@@ -927,3 +928,47 @@ def test_copies_refill_their_own_facts():
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
         assert q._hash is None and q._free is None
         assert q == p and hash(q) == hash(p)
+
+
+def _positions(p) -> list:
+    """The ``pos`` of each node of ``p``, in preorder."""
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        out.append(q.pos)
+        children = (getattr(q, name) for name in type(q).__match_args__)
+        stack += reversed([c for c in children if isinstance(c, _Node)])
+    return out
+
+
+def test_copies_and_rebuilt_nodes_keep_their_positions():
+    p = parse_process("new x: un end. x!y.0 |\n  !y?(z).0")
+    where = _positions(p)
+    assert len(set(where)) == len(where) and None not in where
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert _positions(q) == where
+    assert _positions(_replace(p, right=Zero())) == [p.pos, *_positions(p.left), None]
+
+
+def test_process_nodes_are_slotted_and_guarded():
+    nodes = parse_process("new x: un end. (x!y.0 | !y?(z).0)")
+    nodes = [nodes, nodes.cont, nodes.cont.left, nodes.cont.left.cont, nodes.cont.right, nodes.cont.right.body]
+    assert {type(q) for q in nodes} == {Zero, Par, Repl, Output, Input, New}
+    for q in nodes:
+        assert not hasattr(q, "__dict__")
+        for name in (*type(q).__match_args__, "pos", "_hash", "extra"):
+            # What ``q.name = ...`` and ``del q.name`` do.
+            with pytest.raises(AttributeError):
+                setattr(q, name, None)
+            with pytest.raises(AttributeError):
+                delattr(q, name)
+        with pytest.raises(AttributeError):
+            q.pos = (1, 1)
+        with pytest.raises(AttributeError):
+            del q._hash
+        assert q.pos is not None and q._hash is None
+
+
+def test_repr_of_the_fixtures_is_unchanged():
+    text = "\n".join(repr(load_fixture(name)[1]) for name in fixture_names())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "ecf483148e0e8f01"
