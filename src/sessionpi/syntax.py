@@ -270,6 +270,8 @@ def _process_node(cls: type) -> type:
     cls.__match_args__ = names[:-1]
     stores = {f"set_{name}": getattr(cls, name).__set__ for name in names}
     stores.update(set_hash=_Node._hash.__set__, set_free=_Node._free.__set__)
+    # Compiled from source, as a dataclass's is, so that it takes its fields
+    # by name and stores them without a loop.
     params = "".join(f"{name}, " for name in names[:-1])
     body = "".join(f"    set_{name}(self, {name})\n" for name in names)
     exec(f"def __init__(self, {params}pos=None):\n{body}"

@@ -951,8 +951,8 @@ def test_copies_and_rebuilt_nodes_keep_their_positions():
 
 
 def test_process_nodes_are_slotted_and_guarded():
-    nodes = parse_process("new x: un end. (x!y.0 | !y?(z).0)")
-    nodes = [nodes, nodes.cont, nodes.cont.left, nodes.cont.left.cont, nodes.cont.right, nodes.cont.right.body]
+    p = parse_process("new x: un end. (x!y.0 | !y?(z).0)")
+    nodes = [p, p.cont, p.cont.left, p.cont.left.cont, p.cont.right, p.cont.right.body]
     assert {type(q) for q in nodes} == {Zero, Par, Repl, Output, Input, New}
     for q in nodes:
         assert not hasattr(q, "__dict__")
