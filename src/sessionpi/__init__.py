@@ -17,7 +17,6 @@ from .contexts import (
     Context,
     ContextAlgebraError,
     DeclContext,
-    Pair,
     Single,
     Void,
     closure,

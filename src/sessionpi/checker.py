@@ -43,6 +43,7 @@ Rule names carried in traces:
 * processes: A-Inact, A-Par, A-Repl, A-Res, A-Out-L(-l/-r), A-Out-Un(-l/-r),
   A-In-L(-l/-r), A-In-Un(-l/-r).
 
+An entry is ``Single(item)`` or a ``ChanType`` whose ends may be ``◦``.
 Rules read an entry through its ``slots``, each with the suffix its rule
 names carry (``_slots``), so no rule has a case per entry shape.  The pair
 variants unwrap one side, rerun the checker on the resulting single-slot
@@ -61,7 +62,6 @@ from .contexts import (
     ContextAlgebraError,
     Entry,
     Item,
-    Pair,
     Single,
     closure,
     context_equal,
@@ -298,7 +298,7 @@ def _var_rules(entry: Entry, t: Type) -> list[tuple[str, Optional[Entry]]]:
         else:
             return []
         if qual is Qual.LIN:
-            return [("A-V-LL" + suffix, Pair(VOID, VOID))]
+            return [("A-V-LL" + suffix, ChanType(VOID, VOID))]
         return [("A-V-UU" + suffix, None)]
     qual = unfold(t).qual
     hits = [
@@ -436,8 +436,8 @@ class _Checker:
         return g3.set(p.chan, Single(VOID))
 
     def _rule_pair_side(self, g: Context, p: Process, side: Item, consumed: Entry) -> Context:
-        # Pair variants: run the linear endpoint rule on one side alone, then
-        # put back the pair with that side voided (``consumed``).
+        # The pair-side variants: run the linear endpoint rule on one side
+        # alone, then put back the pair with that side voided (``consumed``).
         inner_out = self.check(g.set(p.chan, Single(side)), p)
         got = inner_out.get(p.chan)
         if got != Single(VOID):

@@ -1,14 +1,15 @@
 """Typing contexts: entries with a consumed-endpoint marker, and their algebra.
 
-An entry is either a single endpoint slot or a pair of slots (the two ends
-of one channel); its ``slots`` are ``(item,)`` or ``(left, right)``.  A
-slot holds an endpoint type or the void marker ``◦``, which records that a
-linear end has been used up and is no longer available.  Entries are
-interned like types: equal entries are one object, ``VOID`` is the only
-void marker, and ``==`` and ``hash`` take constant time.  So an entry's
-safety, unrestrictedness, used projection and closure against another
-entry are each computed once and kept, like the facts of ``equality``, in
-the memo of ``syntax._memoized``.
+An entry is ``Single(item)``, one endpoint slot, or a ``ChanType``, the
+pair type of the two ends of one channel, whose ends may be ``◦``; its
+``slots`` are ``(item,)`` or ``(left, right)``.  A slot holds an endpoint
+type or the void marker ``◦``, which records that a linear end has been
+used up and is no longer available; a pair with no ``◦`` is its own type.
+Entries are interned like types: equal entries are one object, ``VOID`` is
+the only void marker, and ``==`` and ``hash`` take constant time.  So an
+entry's safety, unrestrictedness, used projection and closure against
+another entry are each computed once and kept, like the facts of
+``equality``, in the memo of ``syntax._memoized``.
 
 The algebra on contexts acts slot by slot: each operation below is one
 operation on items, applied over the ``slots`` of an entry (and, for the
@@ -73,20 +74,7 @@ class Single(_Interned):
         return (self.item,)
 
 
-@_interned_node
-class Pair(_Interned):
-    left: Item
-    right: Item
-
-    @property
-    def slots(self) -> tuple[Item, Item]:
-        return (self.left, self.right)
-
-    def _pieces(self) -> tuple:
-        return "<", self.left, ", ", self.right, ">"
-
-
-Entry = Union[Single, Pair]
+Entry = Union[Single, ChanType]  # a ``ChanType`` entry's ends may be ``VOID``
 
 
 class ContextAlgebraError(Exception):
@@ -94,9 +82,7 @@ class ContextAlgebraError(Exception):
 
 
 def entry_of_type(t: Type) -> Entry:
-    if isinstance(t, ChanType):
-        return Pair(t.left, t.right)
-    return Single(t)
+    return t if isinstance(t, ChanType) else Single(t)
 
 
 def type_of_entry(e: Entry) -> Type:
@@ -459,26 +445,21 @@ def is_safe_context(g: Context) -> bool:
     return all(map(is_safe_entry, _flat(g)))
 
 
-def is_un_item(m: Item) -> bool:
-    if isinstance(m, Void):
-        return True
-    return head_qual(m) is Qual.UN
+@_memoized
+def is_un_type(t: Union[Type, Void]) -> bool:
+    """Unrestrictedness of a type or a slot; ``◦`` is unrestricted."""
+    if isinstance(t, ChanType):
+        return is_un_type(t.left) and is_un_type(t.right)
+    return t is VOID or head_qual(t) is Qual.UN
 
 
 @_memoized
 def is_un_entry(e: Entry) -> bool:
-    return all(map(is_un_item, e.slots))
+    return all(map(is_un_type, e.slots))
 
 
 def is_un_context(g: Context) -> bool:
     return all(map(is_un_entry, _flat(g)))
-
-
-def is_un_type(t: Type) -> bool:
-    """Unrestrictedness of a (void-free) declarative type."""
-    if isinstance(t, ChanType):
-        return head_qual(t.left) is Qual.UN and head_qual(t.right) is Qual.UN
-    return head_qual(t) is Qual.UN
 
 
 def is_un_decl_context(i: DeclContext) -> bool:
@@ -564,7 +545,8 @@ def _used_item(m: Item) -> Endpoint:
 
 @_memoized
 def _used_entry(e: Entry) -> Type:
-    """The type of ``e`` with each void slot read as ``un end``."""
+    """The type of ``e`` with each void slot read as ``un end``; a pair
+    with no void slot is its own type."""
     slots = tuple(map(_used_item, e.slots))
     return ChanType(*slots) if len(slots) == 2 else slots[0]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .contexts import VOID, Context, Entry, Pair, Single
+from .contexts import VOID, Context, Entry, Single
 from .equality import dual
 from .parser import parse_context, parse_process
 from .syntax import (
@@ -78,16 +78,16 @@ def gen_safe_entry(rng: random.Random) -> Entry:
         return Single(gen_endpoint(rng))
     if roll < 0.55:
         side = gen_endpoint(rng)
-        pair = Pair(side, dual(side))
-        return pair if rng.random() < 0.5 else Pair(pair.right, pair.left)
+        pair = ChanType(side, dual(side))
+        return pair if rng.random() < 0.5 else ChanType(pair.right, pair.left)
     if roll < 0.7:
-        return Pair(gen_endpoint(rng), VOID)
+        return ChanType(gen_endpoint(rng), VOID)
     if roll < 0.8:
-        return Pair(VOID, gen_endpoint(rng))
+        return ChanType(VOID, gen_endpoint(rng))
     if roll < 0.9:
-        return Pair(gen_endpoint(rng), UN_END)
+        return ChanType(gen_endpoint(rng), UN_END)
     if roll < 0.95:
-        return Pair(VOID, VOID)
+        return ChanType(VOID, VOID)
     return Single(VOID)
 
 

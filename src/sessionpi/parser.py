@@ -9,8 +9,9 @@ Grammar (loosest first)::
     PT ::= "?" "(" T ")" "." S | "!" "(" T ")" "." S | "end"
 
 Context files are UTF-8, one ``name : T`` binding per line, ``#`` comments.
-Entry syntax extends types with the consumed-endpoint marker ``◦`` (ASCII
-alias ``void``), alone or inside a ``<_, _>`` pair.
+An entry is one slot, read as a ``Single``, or a ``<_, _>`` pair of slots,
+read by the pair rule of ``T`` into a ``ChanType``; a slot is an ``S`` or the
+consumed-endpoint marker ``◦`` (ASCII alias ``void``).
 
 Prefix continuations, replication bodies and restriction bodies bind tighter
 than ``|``; parenthesise a parallel there.  Recursive types must be
@@ -55,7 +56,7 @@ from .syntax import (
     TypeVar,
     Zero,
 )
-from .contexts import VOID, Context, Entry, Item, Pair, Single
+from .contexts import VOID, Context, Entry, Item, Single
 
 
 class ParseError(Exception):
@@ -172,12 +173,14 @@ class _Parser:
 
     # -- types -------------------------------------------------------------
 
-    def type_(self) -> Type:
+    def type_(self, slot: Callable[[], Item] | None = None) -> Type:
+        """A type; ``slot``, ``endpoint`` unless given, reads each end of a pair."""
         if self.kinds[self.i] == "<":
+            slot = slot or self.endpoint
             self.i += 1
-            left = self.endpoint()
+            left = slot()
             self.expect(",")
-            right = self.endpoint()
+            right = slot()
             self.expect(">")
             return ChanType(left, right)
         return self.endpoint()
@@ -231,12 +234,7 @@ class _Parser:
 
     def entry(self) -> Entry:
         if self.kinds[self.i] == "<":
-            self.i += 1
-            left = self.item()
-            self.expect(",")
-            right = self.item()
-            self.expect(">")
-            return Pair(left, right)
+            return self.type_(self.item)
         return Single(self.item())
 
     def item(self) -> Item:

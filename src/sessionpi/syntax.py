@@ -183,10 +183,15 @@ Endpoint = Union[Qualified, TypeVar, Rec]
 
 @_interned_node
 class ChanType(_Interned):
-    """Channel pair type ``<S1, S2>``: the two ends of one channel."""
+    """Channel pair type ``<S1, S2>``: the two ends of one channel, its
+    ``slots``.  As a context entry, either end may be ``◦`` (``contexts.VOID``)."""
 
     left: Endpoint
     right: Endpoint
+
+    @property
+    def slots(self) -> tuple:
+        return (self.left, self.right)
 
     def _pieces(self) -> tuple:
         return "<", self.left, ", ", self.right, ">"

@@ -22,7 +22,6 @@ from .contexts import (
     VOID,
     Context,
     Entry,
-    Pair,
     Single,
     closure,
     context_equal,
@@ -30,6 +29,7 @@ from .contexts import (
     update_context,
 )
 from .parser import parse_type
+from .syntax import ChanType
 
 LIN_P1 = parse_type("lin ?(un end).un end")
 LIN_P2 = parse_type("lin !(un end).un end")
@@ -37,12 +37,7 @@ UN_P1 = parse_type("un ?(un end).un end")
 UN_P2 = parse_type("un !(un end).un end")
 
 
-def _s(item) -> Entry:
-    return Single(item)
-
-
-def _p(left, right) -> Entry:
-    return Pair(left, right)
+_s, _p = Single, ChanType  # the two entry shapes, short for the rows below
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ from sessionpi.contexts import (
     Context,
     ContextAlgebraError,
     DeclContext,
-    Pair,
     Single,
     Void,
     _close_item,
     _used_item,
     is_safe_type,
     is_un_decl_context,
-    is_un_item,
+    is_un_type,
 )
 from sessionpi.checker import _consumed, _slots
 from sessionpi.declarative import OracleResult, Verdict, _bind, _shapes, derivable_value
@@ -586,7 +585,7 @@ def reference_type_str(t) -> str:
             return name
         case Rec(var, body):
             return f"rec {var}. {reference_type_str(body)}"
-        case ChanType(left, right) | Pair(left, right):
+        case ChanType(left, right):
             return f"<{reference_type_str(left)}, {reference_type_str(right)}>"
         case Single(item):
             return reference_type_str(item)
@@ -634,7 +633,7 @@ def reference_validate(value) -> None:
     match value:
         case Single(item):
             walk_type(item, frozenset())
-        case Pair(left, right):
+        case ChanType(left, right):
             walk_type(left, frozenset())
             walk_type(right, frozenset())
         case New(_, annot, cont):
@@ -713,9 +712,9 @@ def reference_is_un_entry(e) -> bool:
     """``is_un_entry`` before it kept each entry's answer."""
     match e:
         case Single(item):
-            return is_un_item(item)
-        case Pair(left, right):
-            return is_un_item(left) and is_un_item(right)
+            return is_un_type(item)
+        case ChanType(left, right):
+            return is_un_type(left) and is_un_type(right)
     raise TypeError(f"not an entry: {e!r}")
 
 
@@ -740,8 +739,8 @@ def _reference_pointwise(g1: Context, g2: Context, op, what: str) -> Context:
         match (e1, e2):
             case (Single(a), Single(b)):
                 out.append(Single(op(a, b)))
-            case (Pair(a, b), Pair(c, d)):
-                out.append(Pair(op(a, c), op(b, d)))
+            case (ChanType(a, b), ChanType(c, d)):
+                out.append(ChanType(op(a, c), op(b, d)))
             case _:
                 raise ContextAlgebraError(f"entry shapes for {name} differ: {e1} vs {e2}")
     return g1.with_entries(out)
@@ -759,7 +758,7 @@ def reference_used_map(g: Context) -> DeclContext:
         match e:
             case Single(item):
                 out.append(_used_item(item))
-            case Pair(left, right):
+            case ChanType(left, right):
                 out.append(ChanType(_used_item(left), _used_item(right)))
     return g.with_entries(out)
 
@@ -776,7 +775,7 @@ def reference_var_matches(g: Context, x: str, t: Type) -> list[tuple[str, Contex
     if entry is None:
         return []
     if isinstance(t, ChanType):
-        if not isinstance(entry, Pair):
+        if not isinstance(entry, ChanType):
             return []
         left, right = entry.left, entry.right
         if left is VOID or right is VOID:
@@ -791,7 +790,7 @@ def reference_var_matches(g: Context, x: str, t: Type) -> list[tuple[str, Contex
         else:
             return []
         if qual is Qual.LIN:
-            return [("A-V-LL" + suffix, g.set(x, Pair(VOID, VOID)))]
+            return [("A-V-LL" + suffix, g.set(x, ChanType(VOID, VOID)))]
         return [("A-V-UU" + suffix, g)]
     qual = unfold(t).qual
     hits = [
@@ -806,7 +805,7 @@ def reference_var_matches(g: Context, x: str, t: Type) -> list[tuple[str, Contex
     else:
         matches = []
     if (
-        isinstance(entry, Pair)
+        isinstance(entry, ChanType)
         and entry.left is not VOID
         and entry.right is not VOID
         and is_un_end(entry.left)

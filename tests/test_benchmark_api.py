@@ -38,8 +38,8 @@ def test_benchmark_chains_resolve_on_the_package():
     assert not missing, missing
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,7 +48,7 @@ def _tracing():
 def test_functions_the_tracer_reads_are_public_in_their_layer():
     # The tracer finds layer metrics by function name; a renamed, private or
     # moved function would turn its metric into 0 without an error.
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     names = {"equality.unfold", "equality.type_equal", "equality.io_head", "contexts.is_un_entry"}
     names.add("declarative.enumerate_splits")
     names |= set(tracing._HOOKS)
@@ -60,3 +60,19 @@ def test_functions_the_tracer_reads_are_public_in_their_layer():
         assert inspect.isfunction(value) and value.__module__ == module.__name__, name
         assert not fn.startswith("_"), name
     assert inspect.isgeneratorfunction(sessionpi.declarative.enumerate_splits)
+
+
+def test_the_benchmark_reads_voids_in_entries_of_either_shape():
+    # ``corpus.has_void`` reads a ``Single``'s ``item`` and any other
+    # entry's ``left`` and ``right``; a change to what an entry is must
+    # keep those reads right.
+    has_void = _perfbench("corpus").has_void
+    out = "lin !(un end).un end"
+    for entry, void in (
+        ("◦", True),
+        (f"<◦, {out}>", True),
+        (f"<{out}, ◦>", True),
+        (f"<lin ?(un end).un end, {out}>", False),
+    ):
+        ctx = sessionpi.parse_context(f"x : {entry}\ny : {out}\n")
+        assert has_void(sessionpi, ctx) is void, entry

@@ -14,7 +14,6 @@ from sessionpi import (
     CheckError,
     Context,
     ErrorKind,
-    Pair,
     Single,
     barendregt_rename,
     check,
@@ -62,9 +61,9 @@ def test_var_unrestricted_lookup_keeps_context():
 
 
 def test_var_consumes_whole_linear_pair_commuted():
-    g = Context([("x", Pair(LIN_IN, LIN_OUT))])
+    g = Context([("x", ChanType(LIN_IN, LIN_OUT))])
     requested = parse_type("<lin !(un end).un end, lin ?(un end).un end>")
-    assert check_var(g, "x", requested) == Context([("x", Pair(VOID, VOID))])
+    assert check_var(g, "x", requested) == Context([("x", ChanType(VOID, VOID))])
 
 
 def test_var_consumed_slot_has_no_pattern():
@@ -75,19 +74,19 @@ def test_var_consumed_slot_has_no_pattern():
 
 
 def test_var_pair_side_consumption():
-    g = Context([("x", Pair(LIN_OUT, E))])
-    assert check_var(g, "x", LIN_OUT) == Context([("x", Pair(VOID, E))])
-    g2 = Context([("x", Pair(E, LIN_OUT))])
-    assert check_var(g2, "x", LIN_OUT) == Context([("x", Pair(E, VOID))])
+    g = Context([("x", ChanType(LIN_OUT, E))])
+    assert check_var(g, "x", LIN_OUT) == Context([("x", ChanType(VOID, E))])
+    g2 = Context([("x", ChanType(E, LIN_OUT))])
+    assert check_var(g2, "x", LIN_OUT) == Context([("x", ChanType(E, VOID))])
 
 
 def test_var_unrestricted_side_needs_disequality():
     # <un end, un end> read at un end resolves through the dedicated
     # end/end rule, not the one-sided unrestricted rules.
-    g = Context([("x", Pair(E, E))])
+    g = Context([("x", ChanType(E, E))])
     assert check_var(g, "x", E) == g
     un_in = parse_type("rec a. un ?(un end).a")
-    g2 = Context([("x", Pair(un_in, E))])
+    g2 = Context([("x", ChanType(un_in, E))])
     assert check_var(g2, "x", un_in) == g2
 
 
@@ -176,7 +175,7 @@ def test_unsafe_restriction_annotation():
 
 
 def test_unsafe_initial_context_rejected_immediately():
-    g = Context([("x", Pair(LIN_OUT, LIN_OUT))])
+    g = Context([("x", ChanType(LIN_OUT, LIN_OUT))])
     result = type_check(g, parse_process("0"))
     assert not result.accepted
     assert result.error.kind is ErrorKind.UNSAFE_ANNOTATION
@@ -228,7 +227,7 @@ def test_poll_trace_shows_session_delegation():
     delegated = [
         step
         for step in result.trace
-        if step.rule == "A-V-L-r" and isinstance(step.input_ctx.get("p"), Pair)
+        if step.rule == "A-V-L-r" and isinstance(step.input_ctx.get("p"), ChanType)
     ]
     assert delegated, "expected the poll send end to be consumed by name lookup"
     after = delegated[0].output_ctx.get("p")

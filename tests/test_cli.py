@@ -58,10 +58,11 @@ def test_void_entry_given_to_oracle_is_a_context_error(capsys, tmp_path):
     proc = tmp_path / "p.pi"
     ctx = tmp_path / "c.ctx"
     proc.write_text("x!x.0\n")
-    ctx.write_text("x : void\n")
-    code, _, err = run_cli(capsys, "oracle", str(proc), "--ctx", str(ctx))
-    assert code == 2
-    assert err.startswith("context error: ")
+    for entry in ("void", "<◦, lin !(un end).un end>"):
+        ctx.write_text(f"x : {entry}\n")
+        code, _, err = run_cli(capsys, "oracle", str(proc), "--ctx", str(ctx))
+        assert code == 2, entry
+        assert err.startswith("context error: "), entry
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):
@@ -103,6 +104,44 @@ def test_check_json_residual_round_trips(capsys):
     from sessionpi.contexts import context_file_text
 
     assert context_file_text(residual) == payload["residual"]
+
+
+# Runs every fixture in the directory given as its argument through the four
+# ``--json`` commands in one process, and prints one digest of their exit
+# codes and reports without ``timing_ms``.
+_DIGEST_FIXTURE_REPORTS = r'''
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from sessionpi.cli import main
+
+digest = hashlib.sha256()
+for root in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_dir()):
+    proc, ctx = str(root / "process.pi"), ["--ctx", str(root / "context.ctx")]
+    for argv in (["check", proc, *ctx, "--trace", "--audit"], ["oracle", proc, *ctx],
+                 ["reduce", proc], ["congruence", proc, *ctx]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--json"])
+        report = json.loads(out.getvalue())
+        del report["timing_ms"]
+        digest.update(json.dumps([code, report], sort_keys=True, ensure_ascii=False).encode())
+print(digest.hexdigest())
+'''
+
+
+def test_reports_are_the_same_under_every_hash_seed():
+    # Which objects are interned, and the order of sets and dicts keyed by
+    # them, may vary with the string hash seed; no output may.
+    digests = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_FIXTURE_REPORTS, str(FIXTURES)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_check_trace_audit_json_matches_golden(capsys):

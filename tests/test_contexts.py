@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from sessionpi import (
     VOID,
+    ChanType,
     Context,
     ContextAlgebraError,
-    Pair,
     Single,
     closure,
     context_equal,
@@ -28,8 +28,9 @@ from sessionpi import (
     update_entry,
     used_map,
 )
-from sessionpi.contexts import entry_equal, entry_of_type, is_un_item, type_of_entry
+from sessionpi.contexts import entry_equal, entry_of_type, is_un_type, type_of_entry
 from sessionpi.gen import gen_safe_context, gen_safe_entry, poll_context_text
+from sessionpi.syntax import render
 
 LIN_IN = parse_type("lin ?(un end).un end")
 LIN_OUT = parse_type("lin !(un end).un end")
@@ -40,7 +41,7 @@ E = parse_type("un end")
 def test_entry_parsing_accepts_void_aliases():
     assert parse_entry("void") == Single(VOID)
     assert parse_entry("◦") == Single(VOID)
-    assert parse_entry("<void, un end>") == Pair(VOID, E)
+    assert parse_entry("<void, un end>") == ChanType(VOID, E)
 
 
 def test_entry_round_trip_through_pretty():
@@ -50,38 +51,38 @@ def test_entry_round_trip_through_pretty():
 
 
 def test_safe_entry_matching_lin_pair():
-    assert is_safe_entry(Pair(LIN_IN, LIN_OUT))
-    assert is_safe_entry(Pair(LIN_OUT, LIN_IN))
+    assert is_safe_entry(ChanType(LIN_IN, LIN_OUT))
+    assert is_safe_entry(ChanType(LIN_OUT, LIN_IN))
 
 
 def test_safe_entry_rejects_double_send():
-    assert not is_safe_entry(Pair(LIN_OUT, LIN_OUT))
+    assert not is_safe_entry(ChanType(LIN_OUT, LIN_OUT))
 
 
 def test_safe_entry_void_or_end_side():
-    assert is_safe_entry(Pair(LIN_OUT, VOID))
-    assert is_safe_entry(Pair(VOID, LIN_OUT))
-    assert is_safe_entry(Pair(LIN_OUT, E))
+    assert is_safe_entry(ChanType(LIN_OUT, VOID))
+    assert is_safe_entry(ChanType(VOID, LIN_OUT))
+    assert is_safe_entry(ChanType(LIN_OUT, E))
     assert is_safe_entry(Single(LIN_OUT))
 
 
 def test_safe_entry_mismatched_payloads():
     deep = parse_type("lin ?(lin !(un end).un end).un end")
-    assert not is_safe_entry(Pair(deep, LIN_OUT))
+    assert not is_safe_entry(ChanType(deep, LIN_OUT))
 
 
 def test_safe_entry_recursive_session():
     left = parse_type("rec a. lin ?(un end).a")
     right = parse_type("rec b. lin !(un end).b")
-    assert is_safe_entry(Pair(left, right))
+    assert is_safe_entry(ChanType(left, right))
 
 
 def test_safe_entry_invariant_under_commutation():
     rng = random.Random(21)
     for _ in range(200):
         e = gen_safe_entry(rng)
-        if isinstance(e, Pair):
-            assert is_safe_entry(Pair(e.right, e.left)) == is_safe_entry(e)
+        if isinstance(e, ChanType):
+            assert is_safe_entry(ChanType(e.right, e.left)) == is_safe_entry(e)
 
 
 def test_poll_context_is_safe():
@@ -91,7 +92,7 @@ def test_poll_context_is_safe():
 def test_poll_session_pair_is_safe():
     from sessionpi.gen import POLL_RECV, POLL_SEND
 
-    assert is_safe_entry(Pair(parse_type(POLL_RECV), parse_type(POLL_SEND)))
+    assert is_safe_entry(ChanType(parse_type(POLL_RECV), parse_type(POLL_SEND)))
 
 
 def test_used_map_output_is_void_free():
@@ -111,14 +112,14 @@ def test_empty_context_is_safe_and_un():
 
 
 def test_unsafe_context_detected():
-    g = Context([("x", Pair(LIN_OUT, LIN_OUT))])
+    g = Context([("x", ChanType(LIN_OUT, LIN_OUT))])
     assert not is_safe_context(g)
 
 
 def test_un_predicate():
-    assert is_un_item(VOID)
+    assert is_un_type(VOID)
     assert not is_un_entry(Single(parse_type("lin end")))
-    assert is_un_entry(Pair(UN_IN, VOID))
+    assert is_un_entry(ChanType(UN_IN, VOID))
     assert is_un_context(Context([("x", Single(VOID)), ("y", Single(E))]))
     assert not is_un_context(Context([("x", Single(parse_type("lin end")))]))
 
@@ -142,9 +143,9 @@ def test_closure_lin_vs_void():
 
 def test_closure_pair_pointwise():
     # One session thread consumed the right end: <l1,l2> ▷ <l1,◦> = <◦,l2>.
-    g2 = Context([("x", Pair(LIN_IN, LIN_OUT))])
-    g3 = Context([("x", Pair(LIN_IN, VOID))])
-    assert closure(g2, g3) == Context([("x", Pair(VOID, LIN_OUT))])
+    g2 = Context([("x", ChanType(LIN_IN, LIN_OUT))])
+    g3 = Context([("x", ChanType(LIN_IN, VOID))])
+    assert closure(g2, g3) == Context([("x", ChanType(VOID, LIN_OUT))])
 
 
 def test_closure_undefined_combination():
@@ -160,7 +161,7 @@ def test_used_map_reads_void_as_un_end():
 
 
 def test_used_map_keeps_types():
-    g = Context([("x", Single(LIN_IN)), ("y", Pair(VOID, LIN_OUT))])
+    g = Context([("x", Single(LIN_IN)), ("y", ChanType(VOID, LIN_OUT))])
     decl = used_map(g)
     assert decl.get("x") == LIN_IN
     assert decl.get("y").left == E
@@ -171,15 +172,15 @@ def test_nabla_voids_linear_slots():
     g = Context(
         [
             ("a", Single(LIN_IN)),
-            ("b", Pair(LIN_IN, VOID)),
-            ("c", Pair(UN_IN, UN_IN)),
+            ("b", ChanType(LIN_IN, VOID)),
+            ("c", ChanType(UN_IN, UN_IN)),
             ("d", Single(VOID)),
         ]
     )
     out = nabla(g)
     assert out.get("a") == Single(VOID)
-    assert out.get("b") == Pair(VOID, VOID)
-    assert out.get("c") == Pair(UN_IN, UN_IN)
+    assert out.get("b") == ChanType(VOID, VOID)
+    assert out.get("c") == ChanType(UN_IN, UN_IN)
     assert out.get("d") == Single(VOID)
 
 
@@ -205,9 +206,28 @@ def test_update_context_lin_collision():
 
 
 def test_decl_context_conversion_rejects_void():
-    g = Context([("x", Pair(VOID, E))])
+    g = Context([("x", ChanType(VOID, E))])
     with pytest.raises(ContextAlgebraError):
         to_decl_context(g)
+
+
+def test_a_pair_entry_is_its_channel_type():
+    # One interned kind holds both ends of a channel, as a type and as a
+    # context entry; only an entry may hold ◦ at either end.
+    for text in (
+        "<lin ?(un end).un end, lin !(un end).un end>",
+        "<rec a. un ?(un end).a, rec b. un !(un end).b>",
+        "<un end, un end>",
+    ):
+        t = parse_type(text)
+        assert entry_of_type(t) is t
+        assert parse_entry(text) is t
+    consumed = parse_entry("<◦, lin !(un end).un end>")
+    assert consumed is ChanType(VOID, LIN_OUT)
+    assert render(consumed) == "<◦, lin !(un end).un end>"
+    assert parse_entry(render(consumed)) is consumed
+    with pytest.raises(ContextAlgebraError):
+        to_decl_context(Context([("x", consumed)]))
 
 
 def test_entry_type_conversion_round_trip():
@@ -230,7 +250,7 @@ def test_context_pretty_round_trip():
 # A pool of names wider than two chunks: the model's contexts are flat (at
 # most 32 names) or chunked, and runs cross 32 names in both directions.
 NAMES = tuple(f"n{k}" for k in range(80))
-ENTRIES = (Single(E), Single(LIN_IN), Single(VOID), Pair(LIN_IN, LIN_OUT), Pair(VOID, E))
+ENTRIES = (Single(E), Single(LIN_IN), Single(VOID), ChanType(LIN_IN, LIN_OUT), ChanType(VOID, E))
 WIDTH = 32
 
 # Adds outnumber removes, and each op aims at a name through ``_target``.
@@ -429,7 +449,7 @@ def test_chunked_contexts_agree_with_a_flat_reference(size):
     assert context_equal(g.set(last, rec), g.set(last, unfolded))
     assert g.set(last, rec) != g.set(last, unfolded)
     for name in (names[0], names[size // 2], last):
-        assert not is_safe_context(spent.set(name, Pair(LIN_OUT, LIN_OUT)))
+        assert not is_safe_context(spent.set(name, ChanType(LIN_OUT, LIN_OUT)))
         assert is_un_context(spent.set(name, Single(E)))
         assert not is_un_context(spent.set(name, Single(LIN_IN)))
 

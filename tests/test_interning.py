@@ -14,7 +14,6 @@ from sessionpi import (
     Context,
     ContextAlgebraError,
     End,
-    Pair,
     Qual,
     Qualified,
     Rec,
@@ -65,7 +64,7 @@ def test_repr_of_an_entry_is_the_dataclass_text():
     e = parse_entry("<lin !(un end).rec a. un ?(un end).a, void>")
     end = "Qualified(qual=<Qual.UN: 'un'>, pre=End())"
     assert repr(e) == (
-        f"Pair(left=Qualified(qual=<Qual.LIN: 'lin'>, pre=Send(payload={end}, cont="
+        f"ChanType(left=Qualified(qual=<Qual.LIN: 'lin'>, pre=Send(payload={end}, cont="
         f"Rec(var='a', body=Qualified(qual=<Qual.UN: 'un'>, pre=Recv(payload={end}, "
         "cont=TypeVar(name='a')))))), right=Void())"
     )
@@ -104,7 +103,7 @@ def test_entry_interning_survives_copies_and_pickles():
     entries = [e for g in u6_contexts + [nabla(g) for g in u6_contexts] for _, e in g.items()]
     rng = random.Random(6)
     entries += [gen_safe_context(rng, ["x"]).get("x") for _ in range(200)]
-    assert any(isinstance(e, Pair) and VOID in (e.left, e.right) for e in entries)
+    assert any(isinstance(e, ChanType) and VOID in (e.left, e.right) for e in entries)
     for e in entries:
         assert parse_entry(str(e)) is e, e
         assert copy.copy(e) is e, e

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sessionpi import (
     VOID,
     Context,
-    Pair,
+    ChanType,
     Single,
     barendregt_rename,
     check,
@@ -54,7 +54,7 @@ def test_strengthening_unchanged_linear_entry():
 
     ctx = Context(
         [
-            ("x", Pair(parse_type("rec a. un ?(un end).a"), parse_type("rec b. un !(un end).b"))),
+            ("x", ChanType(parse_type("rec a. un ?(un end).a"), parse_type("rec b. un !(un end).b"))),
             ("v", Single(E)),
             ("spare", Single(LIN_OUT)),
         ]
@@ -69,7 +69,7 @@ def test_strengthening_unchanged_linear_entry():
 def test_strengthening_void_and_unused_un_entries():
     for ctx, p in _renamed_pairs(8):
         out = check(ctx, p)
-        for extra in (Single(VOID), Pair(VOID, VOID)):
+        for extra in (Single(VOID), ChanType(VOID, VOID)):
             grown = ctx.add("spare", extra)
             out2 = check(grown, p)
             assert entry_equal(out2.get("spare"), extra)

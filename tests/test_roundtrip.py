@@ -12,7 +12,6 @@ from sessionpi import (
     Input,
     New,
     Output,
-    Pair,
     Par,
     Qual,
     Qualified,
@@ -80,7 +79,7 @@ def processes(draw, depth=5):
 
 
 items = st.one_of(st.just(VOID), endpoints())
-entries = st.one_of(st.builds(Single, items), st.builds(Pair, items, items))
+entries = st.one_of(st.builds(Single, items), st.builds(ChanType, items, items))
 
 
 @st.composite

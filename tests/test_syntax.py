@@ -21,7 +21,6 @@ from sessionpi import (
     Rec,
     Recv,
     VOID,
-    Pair,
     Repl,
     Send,
     TypeVar,
@@ -584,7 +583,7 @@ def test_type_printer_needs_no_recursion():
     for _ in range(10_000):
         nested = Qualified(Qual.LIN, Send(nested, UN_END))
     assert str(nested) == "lin !(" * 10_000 + "un end" + ").un end" * 10_000
-    assert str(Pair(VOID, nested)) == f"<◦, {nested}>"
+    assert str(ChanType(VOID, nested)) == f"<◦, {nested}>"
 
 
 def test_free_vars():

@@ -1,4 +1,5 @@
-from sessionpi.contexts import Pair, Single, VOID
+from sessionpi import ChanType
+from sessionpi.contexts import Single, VOID
 from sessionpi.table import LIN_P1, LIN_P2, UN_P1, evaluate_row, evaluate_table, expected_rows
 
 
@@ -19,13 +20,13 @@ def test_unrestricted_row_is_constant():
 def test_partial_consumption_row():
     # g2 = <lin p1, lin p2> consumed down to g3 = <lin p1, ◦> spends <◦, lin p2>.
     row = expected_rows()[6]
-    assert row.g2 == Pair(LIN_P1, LIN_P2)
-    assert row.g3 == Pair(LIN_P1, VOID)
-    assert row.c23 == Pair(VOID, LIN_P2)
+    assert row.g2 == ChanType(LIN_P1, LIN_P2)
+    assert row.g3 == ChanType(LIN_P1, VOID)
+    assert row.c23 == ChanType(VOID, LIN_P2)
     assert evaluate_row(row).ok
 
 
 def test_fully_void_row_is_constant():
     row = expected_rows()[-1]
-    assert row.g1 == row.g4 == row.nabla == Pair(VOID, VOID)
+    assert row.g1 == row.g4 == row.nabla == ChanType(VOID, VOID)
     assert evaluate_row(row).ok
