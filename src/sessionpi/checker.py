@@ -5,7 +5,9 @@ consumes the capabilities the process uses, and returns the residue.  Rules
 are selected by the shape of the subject's context entry and the head of the
 process; on a safe context at most one pattern applies, so there is no
 backtracking.  Consumed linear slots are marked ``◦`` so later threads
-cannot reuse them.
+cannot reuse them.  A ``|`` soup is a left-to-right fold through its threads,
+which ``check`` runs in one frame, keeping a record of each ``|`` to close: a
+defunctionalized continuation (Danvy & Nielsen, PPDP 2001).
 
 Dispatch reads the list of the rules whose guards hold straight from a
 table, rejects at once when it is empty, and otherwise takes the first.  A
@@ -320,11 +322,11 @@ def _var_rules(entry: Entry, t: Type) -> list[tuple[str, Optional[Entry]]]:
 
 
 # The rules of the structural nodes.  A process rule match is (rule, name of
-# its body on ``_Checker``, extra arguments of the body).
+# its body on ``_Checker`` or ``None`` for A-Par, extra arguments of the body).
 _STRUCTURAL = {
     Zero: [("A-Inact", "_rule_inact", ())],
     Repl: [("A-Repl", "_rule_repl", ())],
-    Par: [("A-Par", "_rule_par", ())],
+    Par: [("A-Par", None, ())],
     New: [("A-Res", "_rule_res", ())],
 }
 
@@ -373,28 +375,41 @@ class _Checker:
     # -- processes -----------------------------------------------------------
 
     def check(self, g: Context, p: Process) -> Context:
-        # A node that no structural rule matches is a send or a receive.
-        matches = _STRUCTURAL.get(type(p))
-        if matches is None:
-            entry = g.get(p.chan)
-            matches = () if entry is None else _io_rules(entry, type(p))
-        if self.audits is not None:
-            self.audits.append(AuditRecord(p, len(matches)))
-        if not matches:
-            raise CheckError(ErrorKind.NO_PATTERN, (_site, p), (_no_pattern, g, p))
-        # The rule body is called from here, not through a helper, so that
-        # each prefix costs two frames on the recursion path.
-        rule, body, extra = matches[0]
-        step = None
-        if self.trace is not None:
-            step = TraceStep(rule, g, p)
-            self.trace.append(step)
-        out = getattr(self, body)(g, p, *extra)
-        if step is not None:
-            step.output_ctx = out
-        if self.runtime_audits:
-            self._check_invariants(g, out, p)
-        return out
+        # Per open ``|``, ``todo`` holds its record (node, step, input context) below its right thread.
+        todo = []
+        while True:
+            # A node that no structural rule matches is a send or a receive.
+            matches = _STRUCTURAL.get(type(p))
+            if matches is None:
+                entry = g.get(p.chan)
+                matches = () if entry is None else _io_rules(entry, type(p))
+            if self.audits is not None:
+                self.audits.append(AuditRecord(p, len(matches)))
+            if not matches:
+                raise CheckError(ErrorKind.NO_PATTERN, (_site, p), (_no_pattern, g, p))
+            rule, body, extra = matches[0]
+            step = None
+            if self.trace is not None:
+                step = TraceStep(rule, g, p)
+                self.trace.append(step)
+            if body is None:
+                todo += ((p, step, g), p.right)
+                p = p.left
+                continue
+            # The rule body is called from here, not through a helper, so
+            # that each prefix costs two frames on the recursion path.
+            g_in, g = g, getattr(self, body)(g, p, *extra)
+            while True:
+                if step is not None:
+                    step.output_ctx = g
+                if self.runtime_audits:
+                    self._check_invariants(g_in, g, p)
+                if not todo:
+                    return g
+                p = todo.pop()
+                if type(p) is not tuple:
+                    break
+                p, step, g_in = p
 
     def _check_invariants(self, g: Context, out: Context, p: Process):
         # Domain preservation and safety of every successful return, and
@@ -467,9 +482,6 @@ class _Checker:
 
     def _rule_inact(self, g: Context, p: Zero) -> Context:
         return g
-
-    def _rule_par(self, g: Context, p: Par) -> Context:
-        return self.check(self.check(g, p.left), p.right)
 
     def _rule_repl(self, g: Context, p: Repl) -> Context:
         g2 = self.check(g, p.body)

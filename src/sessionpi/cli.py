@@ -300,7 +300,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"input is not UTF-8: {err}", file=sys.stderr)
         return 2
     except RecursionError as err:
-        # Checking and the oracle recurse on depth.
+        # Checking and the oracle recurse on prefix chains, reduction on soups too.
         print(f"input too deep: {err}", file=sys.stderr)
         return 2
     if args.json:

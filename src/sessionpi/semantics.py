@@ -211,12 +211,12 @@ def _needs(p: Process) -> list[frozenset[tuple]]:
     of the replications and restrictions above it; a pair needs the
     restrictions above one prefix only and the replications above either,
     one above both being unfolded once for the pair to meet in the copy."""
-    prefixes = []
+    chains = {Output: {}, Input: {}}  # prefix chains by kind, then channel
 
     def walk(q: Process, path: Path, soup: Path, chain: frozenset[tuple]) -> None:
         match q:
             case Output() | Input():
-                prefixes.append((q, chain))
+                chains[type(q)].setdefault(q.chan, []).append(chain)
             case Par(left, right):
                 walk(left, path + ("left",), soup, chain)
                 walk(right, path + ("right",), soup, chain)
@@ -228,9 +228,9 @@ def _needs(p: Process) -> list[frozenset[tuple]]:
     walk(p, (), (), frozenset())
     needs = {
         (a ^ b) | {r for r in a & b if r[0] == _UNFOLD}
-        for out, a in prefixes
-        for inp, b in prefixes
-        if isinstance(out, Output) and isinstance(inp, Input) and inp.chan == out.chan
+        for chan, outs in chains[Output].items()
+        for a in outs
+        for b in chains[Input].get(chan, ())
     }
     return sorted(needs, key=lambda need: (len(need), sorted(need)))
 
@@ -286,7 +286,7 @@ def reduce_step_labeled(p: Process) -> list[tuple[str, Process]]:
     fired = set()
     results: dict[Process, str] = {}
     for need in _needs(p):
-        variant = _expose(p, need)
+        variant = _expose(p, need) if need else p
         for com in _coms(variant):
             key = (com.chan, get_at(variant, com.out_path), get_at(variant, com.in_path))
             if key not in fired:

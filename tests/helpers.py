@@ -20,7 +20,7 @@ from sessionpi.contexts import (
     is_un_decl_context,
     is_un_type,
 )
-from sessionpi.checker import _consumed, _slots
+from sessionpi.checker import AuditRecord, TraceStep, _Checker, _consumed, _slots
 from sessionpi.declarative import OracleResult, Verdict, _bind, _shapes, derivable_value
 from sessionpi.equality import is_un_end, type_equal, unfold
 from sessionpi.gen import (
@@ -409,6 +409,33 @@ def shadowing_procs(size: int, names: tuple, annots: list) -> Iterator[Process]:
             for left in shadowing_procs(k, names, annots):
                 for right in shadowing_procs(size - 1 - k, names, annots):
                     yield Par(left, right)
+
+
+# ---------------------------------------------------------------------------
+# Reference checker: A-Par as its rule reads, by two recursive calls
+# ---------------------------------------------------------------------------
+
+class ReferenceParChecker(_Checker):
+    """The checker with ``A-Par`` run as two recursive calls, the left thread
+    under the input context and the right one under its residue, each ``|``
+    with its audit record, trace step and invariant check.  Any other node
+    goes to ``_Checker.check``, whose rule bodies call back here."""
+
+    def check(self, g: Context, p: Process) -> Context:
+        if not isinstance(p, Par):
+            return super().check(g, p)
+        if self.audits is not None:
+            self.audits.append(AuditRecord(p, 1))
+        step = None
+        if self.trace is not None:
+            step = TraceStep("A-Par", g, p)
+            self.trace.append(step)
+        out = self.check(self.check(g, p.left), p.right)
+        if step is not None:
+            step.output_ctx = out
+        if self.runtime_audits:
+            self._check_invariants(g, out, p)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -14,6 +15,7 @@ from sessionpi import (
     CheckError,
     Context,
     ErrorKind,
+    Par,
     Single,
     barendregt_rename,
     check,
@@ -26,6 +28,7 @@ from sessionpi import (
     parse_type,
     type_check,
 )
+from sessionpi.checker import _Checker, _completed, _outcome
 from sessionpi.gen import (
     delegation,
     gen_process,
@@ -35,8 +38,16 @@ from sessionpi.gen import (
     un_server,
 )
 from tests.conftest import fixture_names, load_fixture
-from tests.test_acceptance import U6, criterion_04_contexts, criterion_04_pairs
-from tests.helpers import accepted_family, deep_inputs, reference_var_matches, shadowing_procs
+from tests.test_acceptance import U6, _exhaustive_procs, criterion_04_contexts, criterion_04_pairs
+from tests.helpers import (
+    UN_CHANNEL_CTX,
+    ReferenceParChecker,
+    accepted_family,
+    deep_inputs,
+    reference_var_matches,
+    shadowing_procs,
+    subprocesses,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_trace_audit.json"
 
@@ -676,6 +687,67 @@ def test_deep_inputs_check_with_the_trace_on(name):
         node = step.node
         assert step.subject == (f"{node[0]} : {node[1]}" if isinstance(node, tuple) else str(node))
     assert result.trace[0].subject == str(result.process)
+
+
+# ---------------------------------------------------------------------------
+# Wide soups: ``check`` threads the context through a ``|`` soup in a loop
+# ---------------------------------------------------------------------------
+
+WIDE = 10_000
+
+
+def _wide_soup(nesting: str) -> Par:
+    """A ``WIDE``-way soup on an unrestricted channel, half sends and half
+    receives: left-nested as the parser builds it, or right-nested."""
+    texts = ["c!v.0" if i % 2 else f"c?(b{i}).0" for i in range(WIDE)]
+    if nesting == "left":
+        return parse_process(" | ".join(texts))
+    threads = [parse_process(text) for text in reversed(texts)]
+    return functools.reduce(lambda rest, thread: Par(thread, rest), threads[1:], threads[0])
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_wide_soups_check_with_the_trace_off_and_on(nesting):
+    g, p = parse_context(UN_CHANNEL_CTX), _wide_soup(nesting)
+    untraced = type_check(g, p, trace=False)
+    assert untraced.accepted, untraced.error
+    traced = type_check(g, p)
+    assert traced.accepted, traced.error
+    assert traced.residual == untraced.residual
+    # One A-Par step per ``|``; a send takes three steps, a receive two.
+    rules = [step.rule for step in traced.trace]
+    assert rules.count("A-Par") == WIDE - 1
+    assert len(rules) == 3.5 * WIDE - 1
+
+
+def _run(run: _Checker, g: Context, p) -> tuple:
+    """The residue, error texts, completed trace and audits of ``run`` on ``p``."""
+    out, err = _outcome(run, g, p)
+    texts = None if err is None else (err.kind, err.location, err.detail)
+    return out, texts, _completed(run), run.audits
+
+
+def test_par_steps_come_in_the_order_of_the_recursive_rule():
+    # The loop leaves the trace, audits, error and residue of A-Par's two
+    # recursive calls, also when a soup rejects in a later thread: the
+    # steps of the threads before it completed, those of the open ``|``
+    # above it not.
+    procs = [p for p in _exhaustive_procs(5, ("x", "y")) if any(isinstance(q, Par) for q in subprocesses(p))]
+    contexts = criterion_04_contexts()
+    flags = dict(trace=True, audit=True, runtime_audits=True)
+    accepted = later_thread = 0
+    for g in (contexts[7], contexts[8]):
+        for p in procs:
+            got = _run(_Checker(**flags), g, p)
+            assert got == _run(ReferenceParChecker(**flags), g, p), (str(g), str(p))
+            _, texts, trace, _ = got
+            accepted += texts is None
+            done = {id(step.node) for step in trace}
+            later_thread += texts is not None and any(
+                id(q.left) in done for q in subprocesses(p) if isinstance(q, Par) and id(q) not in done
+            )
+    assert len(procs) == 1337
+    assert 0 < accepted and 0 < later_thread
 
 
 def test_traced_poll_system_keeps_little_memory():

@@ -18,7 +18,7 @@ from sessionpi import parse_context, parse_process, type_check
 from sessionpi.cli import main
 from sessionpi.gen import poll_client_text, poll_context_text, poll_service_text
 from tests.conftest import FIXTURES, fixture_names
-from tests.helpers import deep_inputs
+from tests.helpers import UN_CHANNEL_CTX, deep_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -232,6 +232,21 @@ def test_check_prints_a_context_at_the_parsers_depth_limit(tmp_path, capsys):
     text, (code, out, err) = check(deepest)
     assert (code, err) == (0, "")
     assert parse_context(json.loads(out)["residual"]) == parse_context(text)
+
+
+def test_check_accepts_a_wide_soup(tmp_path):
+    # ``check`` threads the context through a ``|`` soup in one frame, so a
+    # soup far wider than the recursion limit checks.
+    proc, ctx = tmp_path / "wide.pi", tmp_path / "wide.ctx"
+    proc.write_text(" | ".join("c!v.0" if i % 2 else f"c?(b{i}).0" for i in range(2000)) + "\n")
+    ctx.write_text(UN_CHANNEL_CTX + "\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "sessionpi.cli", "check", str(proc), "--ctx", str(ctx)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "input too deep" not in done.stderr
 
 
 @pytest.mark.parametrize(
